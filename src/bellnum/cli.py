@@ -172,7 +172,11 @@ def _suite_identities(N: int) -> list[tuple[str, str, str]]:
     _check(res, "matsunaga diagonal equals beta", not bad,
            f"first counterexample n={bad[0]}" if bad else "")
 
-    bad = [n for n in range(N + 1) if bells[n] != beta[n + 1] + beta[n]]
+    # beta comes from B by this very identity, so check it on the binomial
+    # route and hold the derived prefix to that route
+    beta_rec = exact._beta_binomial(N + 1)
+    bad = [n for n in range(N + 1)
+           if bells[n] != beta_rec[n + 1] + beta_rec[n] or beta[n:n + 2] != beta_rec[n:n + 2]]
     _check(res, f"splitting B_n = beta_(n+1) + beta_n (n<={N})", not bad,
            f"first counterexample n={bad[0]}" if bad else "")
 
@@ -249,15 +253,16 @@ def _suite_identities(N: int) -> list[tuple[str, str, str]]:
 
     cap = min(N, 30)
     bad = [n for n in range(cap + 1)
-           if exact.beta_from_bells(n, bells) != beta[n]]
+           if exact.beta_from_bells(n, bells) != beta_rec[n]]
     _check(res, f"beta from alternating Bell sums (n<={cap})", not bad,
            f"first counterexample n={bad[0]}" if bad else "")
 
     cap = min(N, 25)
+    b_table = exact.b_table_rows(cap)
     bad = []
     for n in range(2, cap + 1):
-        tr = exact.bell_matsunaga(n)
-        if tr.result != bells[n] or exact.bell_via_shapes(n) != bells[n]:
+        b = sum(b_table.row(n))
+        if exact.bell_matsunaga(n).result != b or exact.bell_via_shapes(n) != b or bells[n] != b:
             bad.append(n)
     _check(res, f"procedure equivalence (Horner = recurrence = shapes, n<={cap})",
            not bad, f"first counterexample n={bad[0]}" if bad else "")
@@ -443,12 +448,9 @@ def cmd_asym(args: argparse.Namespace) -> tuple[int, str]:
     ladder = _parse_ladder(args.ladder)
     rows: list[list[object]] = []
     if target in ("beta", "bell", "tilde-bell"):
-        top = max(ladder)
-        exact_values = {
-            "beta": exact.beta_numbers(top),
-            "bell": exact.bell_numbers(top),
-            "tilde-bell": tilde_bell_exact(top),
-        }[target]
+        exact_fn = {"beta": exact.beta_numbers, "bell": exact.bell_numbers,
+                    "tilde-bell": tilde_bell_exact}[target]
+        exact_values = exact_fn(max(ladder))
         approx_fn = {"beta": beta_asym, "bell": bell_asym, "tilde-bell": tilde_bell_asym}[target]
         for n in ladder:
             a = approx_fn(n)
@@ -459,6 +461,9 @@ def cmd_asym(args: argparse.Namespace) -> tuple[int, str]:
                           ["n", "log_exact", "log_approx", "rel_log_error", "order"],
                           rows, f"asym-{target}")
     if target == "beta-ratio":
+        if min(ladder) < 4:
+            raise UsageError(
+                "beta-ratio needs n >= 4 (beta_1 = 0 leaves a ratio zero or undefined below)")
         top = max(ladder)
         betas = exact.beta_numbers(top)
         for n in ladder:
@@ -476,7 +481,7 @@ def cmd_asym(args: argparse.Namespace) -> tuple[int, str]:
     for n in ladder:
         if n < 4:
             raise UsageError("stirling comparison needs n >= 4")
-        for k in (2, n // 2, n - 1):
+        for k in sorted({2, n // 2, n - 1}):
             a = stirling_asym(n, k)
             le = log_int(s.entry(n, k))
             rel = abs(math.exp(a.log_value - le) - 1)
@@ -563,6 +568,8 @@ def cmd_bench(args: argparse.Namespace) -> tuple[int, str]:
     if N > arima_cap:
         raise UsageError(f"N={N} beyond bench cap {arima_cap} (raise with --max-n)")
     repeats = args.repeats
+    if repeats < 1:
+        raise UsageError("--repeats must be >= 1")
     rows: list[list[object]] = []
     for n in _bench_ladder(N):
         records: dict[str, BenchRecord] = {}
@@ -574,6 +581,8 @@ def cmd_bench(args: argparse.Namespace) -> tuple[int, str]:
                 continue
             best = math.inf
             for _ in range(repeats):
+                # time the procedure itself, not a lookup in the kernel's prefixes
+                exact._reset()
                 t0 = time.perf_counter()
                 result, bits = fn(n)
                 best = min(best, time.perf_counter() - t0)
@@ -686,9 +695,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     # full-decimal emission of big integers is part of the CSV contract;
-    # lift the interpreter's int-to-str digit guard where present
-    if hasattr(sys, "set_int_max_str_digits"):
-        sys.set_int_max_str_digits(2_000_000)
+    # lift the interpreter's int-to-str digit guard, where present, for
+    # this call only
+    if not hasattr(sys, "set_int_max_str_digits"):
+        return _main(argv)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(2_000_000)
+    try:
+        return _main(argv)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def _main(argv: list[str] | None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -23,7 +23,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate, repeat
 from math import comb, factorial
+from operator import mul
 from typing import Iterator, Mapping, Sequence
 
 __all__ = [
@@ -161,6 +163,77 @@ class PartitionShape:
         return 0
 
 
+class _Prefixes:
+    """Growing prefixes of B, beta, the Poisson moments and the Matsunaga
+    rows, each extended on demand and never recomputed.
+
+    Public functions hand out list copies or ``TriangleTable`` views of
+    the rows (tuples), so no caller can alter a prefix.  The signed
+    Stirling triangle is not kept: it is cheap to rebuild and large to
+    hold, so the Matsunaga prefix keeps only the Stirling row it last
+    consumed.
+    """
+
+    def __init__(self) -> None:
+        self.bells = [1]  # B_0, B_1, ... from Aitken's array
+        self.aitken_row = [1]  # the array's row whose first entry is bells[-1]
+        self.betas = [1]  # beta_0, beta_1, ... from the splitting identity
+        self.poisson: dict[int, list[int]] = {}  # mean -> raw moments 0, 1, ...
+        self.matsunaga = [(0,)]  # rows 1, 2, ... of M
+        self.matsunaga_s = (1,)  # signed Stirling row of M's last row
+
+    def bells_upto(self, N: int) -> list[int]:
+        # each row of Aitken's array starts with the last entry of the one
+        # above and adds the entries above; its first entry is B_n
+        row = self.aitken_row
+        for _ in range(len(self.bells), N + 1):
+            row = self.aitken_row = list(accumulate(row, initial=row[-1]))
+            self.bells.append(row[0])
+        return self.bells
+
+    def betas_upto(self, N: int) -> list[int]:
+        betas, bells = self.betas, self.bells_upto(N - 1)
+        for n in range(len(betas) - 1, N):
+            betas.append(bells[n] - betas[n])
+        return betas
+
+    def poisson_upto(self, mean: int, N: int) -> list[int]:
+        m = self.poisson.setdefault(mean, [1])
+        for n in range(len(m) - 1, N):
+            m.append(mean * sum(comb(n, j) * m[j] for j in range(n + 1)))
+        return m
+
+    def matsunaga_upto(self, N: int) -> list[tuple[int, ...]]:
+        rows, beta = self.matsunaga, self.betas_upto(N)
+        for n in range(len(rows) + 1, N + 1):
+            srow = self.matsunaga_s = _stirling_next(self.matsunaga_s, n)
+            rows.append(tuple(n * m + beta[n] * s for m, s in zip(rows[-1] + (0,), srow)))
+        return rows
+
+
+_PREFIX = _Prefixes()
+
+
+def _reset() -> None:
+    """Empty every prefix, so that the next call computes from scratch."""
+    global _PREFIX
+    _PREFIX = _Prefixes()
+
+
+def _stirling_next(prev: tuple[int, ...], n: int) -> tuple[int, ...]:
+    """Signed Stirling row n from row n - 1."""
+    return tuple(left - (n - 1) * right for left, right in zip((0,) + prev, prev + (0,)))
+
+
+def _stirling_rows(N: int) -> Iterator[tuple[int, ...]]:
+    """Signed Stirling rows 1..N, each built from the one before."""
+    row = (1,)
+    yield row
+    for n in range(2, N + 1):
+        row = _stirling_next(row, n)
+        yield row
+
+
 def stirling_signed_rows(N: int) -> TriangleTable:
     """Signed Stirling numbers of the first kind, rows 1..N.
 
@@ -170,24 +243,15 @@ def stirling_signed_rows(N: int) -> TriangleTable:
     """
     if N < 1:
         raise ValueError("N must be >= 1")
-    rows: list[tuple[int, ...]] = [(1,)]
-    for n in range(2, N + 1):
-        prev = rows[-1]
-        row = []
-        for k in range(1, n + 1):
-            left = prev[k - 2] if k >= 2 else 0
-            right = prev[k - 1] if k <= n - 1 else 0
-            row.append(left - (n - 1) * right)
-        rows.append(tuple(row))
-    return TriangleTable("stirling1", 1, 1, tuple(rows))
+    return TriangleTable("stirling1", 1, 1, tuple(_stirling_rows(N)))
 
 
 def stirling_unsigned_rows(N: int) -> TriangleTable:
     """Unsigned Stirling numbers |s[n,k]| (permutations with k cycles)."""
-    signed = stirling_signed_rows(N)
-    return TriangleTable(
-        "stirling1_unsigned", 1, 1, tuple(tuple(abs(v) for v in r) for r in signed.rows)
-    )
+    if N < 1:
+        raise ValueError("N must be >= 1")
+    return TriangleTable("stirling1_unsigned", 1, 1,
+                         tuple(tuple(map(abs, r)) for r in _stirling_rows(N)))
 
 
 def b_table_rows(N: int) -> TriangleTable:
@@ -197,7 +261,9 @@ def b_table_rows(N: int) -> TriangleTable:
     each row as the previous row's sum, and every other entry is
     ``(n-1)/(k-1)`` times its upper-left neighbour.  The division is
     performed as multiply-then-exact-divide with a divisibility check,
-    so integrality is a verified invariant, not an assumption.
+    so integrality is a verified invariant, not an assumption.  This is
+    the paper's Arima procedure, kept uncached as the independent route
+    to B.
     """
     if N < 1:
         raise ValueError("N must be >= 1")
@@ -216,23 +282,24 @@ def b_table_rows(N: int) -> TriangleTable:
 
 
 def bell_numbers(N: int) -> list[int]:
-    """Bell numbers B_0..B_N via the binomial recurrence's row table."""
+    """Bell numbers B_0..B_N from Aitken's array (additions only)."""
     if N < 0:
         raise ValueError("N must be >= 0")
-    if N == 0:
-        return [1]
-    table = b_table_rows(N)
-    return [1] + [sum(table.row(n)) for n in range(1, N + 1)]
+    return _PREFIX.bells_upto(N)[: N + 1]
 
 
 def beta_numbers(N: int) -> list[int]:
-    """Singleton-free partition counts beta_0..beta_N.
-
-    ``beta[n+1] = sum_{0<=j<=n-1} C(n,j) beta[j]`` with ``beta0 = 1``,
-    ``beta1 = 0``.
-    """
+    """Singleton-free partition counts beta_0..beta_N, from the splitting
+    identity ``beta[n+1] = B_n - beta[n]`` with ``beta0 = 1``."""
     if N < 0:
         raise ValueError("N must be >= 0")
+    return _PREFIX.betas_upto(N)[: N + 1]
+
+
+def _beta_binomial(N: int) -> list[int]:
+    """beta_0..beta_N by the binomial recurrence
+    ``beta[n+1] = sum_{0<=j<=n-1} C(n,j) beta[j]``, ``beta1 = 0``: the
+    route independent of B that the splitting identity is checked on."""
     beta = [1, 0]
     for n in range(1, N):
         beta.append(sum(comb(n, j) * beta[j] for j in range(n)))
@@ -254,32 +321,22 @@ def matsunaga_rows(N: int) -> TriangleTable:
     """
     if N < 1:
         raise ValueError("N must be >= 1")
-    s = stirling_signed_rows(N)
-    beta = beta_numbers(N)
-    rows: list[tuple[int, ...]] = [(0,)]
-    for n in range(2, N + 1):
-        prev = rows[-1]
-        srow = s.row(n)
-        row = [n * (prev[k - 1] if k <= n - 1 else 0) + beta[n] * srow[k - 1]
-               for k in range(1, n + 1)]
-        rows.append(tuple(row))
-    return TriangleTable("matsunaga", 1, 1, tuple(rows))
+    return TriangleTable("matsunaga", 1, 1, tuple(_PREFIX.matsunaga_upto(N)[:N]))
 
 
 def matsunaga_via_sum(n: int, k: int) -> int:
     """``M[n,k] = n! sum_{k<=j<=n} (beta_j / j!) s[j,k]``, the unrolled
-    form of the triangle recurrence, evaluated independently of it."""
+    form of the triangle recurrence, evaluated independently of it as an
+    integer sum (``n!/j!`` is an integer)."""
     if not 1 <= k <= n:
         raise IndexError(f"(n={n}, k={k}) outside triangle")
-    s = stirling_signed_rows(n)
-    beta = beta_numbers(n)
-    total = Fraction(0)
-    for j in range(k, n + 1):
-        total += Fraction(beta[j], factorial(j)) * s.entry(j, k)
-    value = total * factorial(n)
-    if value.denominator != 1:
-        raise ArithmeticError("sum form did not produce an integer")
-    return value.numerator
+    beta = _PREFIX.betas_upto(n)
+    total, ratio = 0, factorial(n)  # ratio = n!/j!
+    for j, srow in enumerate(_stirling_rows(n), start=1):
+        if j >= k:
+            total += beta[j] * srow[k - 1] * ratio
+        ratio //= j + 1
+    return total
 
 
 def bell_matsunaga(n: int) -> HornerTrace:
@@ -292,7 +349,7 @@ def bell_matsunaga(n: int) -> HornerTrace:
     """
     if n < 2:
         raise ValueError("procedure is degenerate for n < 2")
-    row = matsunaga_rows(n).row(n)
+    row = _PREFIX.matsunaga_upto(n)[n - 1]
     bits = max(v.bit_length() for v in row)
     acc = row[n - 1]
     partials = []
@@ -319,16 +376,16 @@ def weighted_matsunaga_rows(N: int) -> TriangleTable:
     """Rows 2..N of ``M[n,k] n^k``; row n sums to ``(B_n - 1) n!``."""
     if N < 2:
         raise ValueError("N must be >= 2")
-    m = matsunaga_rows(N)
-    rows = []
-    for n in range(2, N + 1):
-        rows.append(tuple(v * n ** k for k, v in zip(range(1, n + 1), m.row(n))))
-    return TriangleTable("weighted_matsunaga", 2, 1, tuple(rows))
+    m = _PREFIX.matsunaga_upto(N)
+    rows = tuple(tuple(map(mul, m[n - 1], accumulate(repeat(n, n), mul)))
+                 for n in range(2, N + 1))
+    return TriangleTable("weighted_matsunaga", 2, 1, rows)
 
 
 def abs_matsunaga_row(n: int) -> list[int]:
     """The alternating-sign formula
-    ``n! sum_{k<=j<=n} (-1)^(n-j) (beta_j / j!) |s[j,k]|`` for k = 1..n.
+    ``n! sum_{k<=j<=n} (-1)^(n-j) (beta_j / j!) |s[j,k]|`` for k = 1..n,
+    as an integer sum.
 
     Equals ``|M[n,k]|`` everywhere except (n,k) = (3,1), where it gives
     the negative of the true absolute value; callers check for that one
@@ -336,17 +393,13 @@ def abs_matsunaga_row(n: int) -> list[int]:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    s = stirling_unsigned_rows(n)
-    beta = beta_numbers(n)
-    out = []
-    for k in range(1, n + 1):
-        total = Fraction(0)
-        for j in range(k, n + 1):
-            total += Fraction((-1) ** (n - j) * beta[j], factorial(j)) * s.entry(j, k)
-        value = total * factorial(n)
-        if value.denominator != 1:
-            raise ArithmeticError("alternating sum did not produce an integer")
-        out.append(value.numerator)
+    beta = _PREFIX.betas_upto(n)
+    out, ratio = [0] * n, factorial(n)  # ratio = n!/j!
+    for j, srow in enumerate(_stirling_rows(n), start=1):
+        w = (-1) ** (n - j) * beta[j] * ratio
+        for i, s in enumerate(srow):
+            out[i] += w * abs(s)
+        ratio //= j + 1
     return out
 
 
@@ -355,10 +408,11 @@ def generalized_binomial(v: Fraction | int, m: int) -> Fraction:
     if m < 0:
         raise ValueError("m must be >= 0")
     v = Fraction(v)
-    num = Fraction(1)
+    p, q = v.numerator, v.denominator
+    num = 1
     for i in range(m):
-        num *= v - i
-    return num / factorial(m)
+        num *= p - i * q
+    return Fraction(num, q**m * factorial(m))
 
 
 def pnv_eval(n: int, v: Fraction | int) -> Fraction:
@@ -366,8 +420,21 @@ def pnv_eval(n: int, v: Fraction | int) -> Fraction:
     if n < 1:
         raise ValueError("n must be >= 1")
     v = Fraction(v)
-    row = matsunaga_rows(n).row(n)
-    return sum((abs(c) * v ** k for k, c in zip(range(1, n + 1), row)), Fraction(0))
+    p, q = v.numerator, v.denominator
+    row = _PREFIX.matsunaga_upto(n)[n - 1]
+    return Fraction(sum(abs(c) * p**k * q ** (n - k) for k, c in enumerate(row, start=1)), q**n)
+
+
+def _pnv_closed_int(n: int, v: int) -> int:
+    """The closed form of ``P_n(v)`` for integer v, in integers: the
+    binomial of a negative top x is ``(-1)^m C(m-x-1, m)``."""
+    beta = _PREFIX.betas_upto(n)
+    total = 0
+    for j in range(n - 1):
+        x, m = v + n - j - 1, n - j
+        c = comb(x, m) if x >= 0 else (-1) ** m * comb(m - x - 1, m)
+        total += c * (-1) ** j * beta[m]
+    return total * factorial(n)
 
 
 def pnv_closed(n: int, v: Fraction | int) -> Fraction:
@@ -379,10 +446,11 @@ def pnv_closed(n: int, v: Fraction | int) -> Fraction:
     if n < 4:
         raise ValueError("closed form requires n >= 4")
     v = Fraction(v)
-    beta = beta_numbers(n)
-    total = Fraction(0)
-    for j in range(n - 1):
-        total += generalized_binomial(v + n - j - 1, n - j) * ((-1) ** j * beta[n - j])
+    if v.denominator == 1:
+        return Fraction(_pnv_closed_int(n, v.numerator))
+    beta = _PREFIX.betas_upto(n)
+    total = sum((generalized_binomial(v + n - j - 1, n - j) * ((-1) ** j * beta[n - j])
+                 for j in range(n - 1)), Fraction(0))
     return total * factorial(n)
 
 
@@ -397,13 +465,11 @@ def pn_at_n(N: int) -> tuple[list[int], list[int]]:
     values = [0]
     normalized = [0]
     for n in range(1, N + 1):
-        p = pnv_eval(n, n) if n < 4 else pnv_closed(n, n)
-        if p.denominator != 1:
-            raise ArithmeticError(f"P_{n}({n}) not an integer")
-        q, rem = divmod(p.numerator, factorial(n))
+        p = pnv_eval(n, n).numerator if n < 4 else _pnv_closed_int(n, n)
+        q, rem = divmod(p, factorial(n))
         if rem:
             raise ArithmeticError(f"P_{n}({n}) not divisible by {n}!")
-        values.append(p.numerator)
+        values.append(p)
         normalized.append(q)
     return values, normalized
 
@@ -455,10 +521,7 @@ def poisson_moments(mean: int, N: int) -> list[int]:
     """
     if mean < 1 or N < 0:
         raise ValueError("need mean >= 1 and N >= 0")
-    m = [1]
-    for n in range(N):
-        m.append(mean * sum(comb(n, j) * m[j] for j in range(n + 1)))
-    return m
+    return _PREFIX.poisson_upto(mean, N)[: N + 1]
 
 
 def arima_rows(N: int) -> TriangleTable:
@@ -466,7 +529,7 @@ def arima_rows(N: int) -> TriangleTable:
     row n sums to B_{n+1}."""
     if N < 1:
         raise ValueError("N must be >= 1")
-    bells = bell_numbers(N)
+    bells = _PREFIX.bells_upto(N)
     rows = tuple(
         tuple(comb(n, k) * bells[n - k] for k in range(n + 1)) for n in range(1, N + 1)
     )
@@ -483,10 +546,7 @@ def solve_bell_inverse(target: int) -> int | None:
         raise ValueError("target must be >= 1")
     if target == 1:
         return 0
-    b = [1, 1]
     n = 1
-    while b[n] < target:
-        # extend by one row of the binomial recurrence
+    while _PREFIX.bells_upto(n)[n] < target:
         n += 1
-        b.append(sum(comb(n - 1, k) * b[n - 1 - k] for k in range(n)))
-    return n if b[n] == target else None
+    return n if _PREFIX.bells[n] == target else None

@@ -2,6 +2,7 @@
 
 import json
 import math
+import sys
 
 import pytest
 
@@ -144,6 +145,32 @@ class TestAsym:
     def test_unknown_target(self, capsys):
         assert run(capsys, "asym", "nothing", "5")[0] == 2
 
+    @pytest.mark.parametrize("ladder", ["1", "2", "3", "2,10"])
+    def test_beta_ratio_below_four_is_usage_error(self, capsys, ladder):
+        code = main(["asym", "beta-ratio", ladder])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: beta-ratio needs n >= 4")
+        assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("n, ks", [(4, [2, 3]), (5, [2, 4]), (6, [2, 3, 5])])
+    def test_stirling_prints_each_k_once(self, capsys, n, ks):
+        code, out = run(capsys, "asym", "stirling", str(n), "--format", "csv")
+        assert code == 0
+        assert [int(line.split(",")[1]) for line in out.strip().splitlines()[1:]] == ks
+
+    @pytest.mark.parametrize("target", ["beta", "bell", "tilde-bell"])
+    def test_builds_only_the_requested_sequence(self, capsys, monkeypatch, target):
+        import bellnum.cli as cli
+
+        builders = {"beta": (exact, "beta_numbers"), "bell": (exact, "bell_numbers"),
+                    "tilde-bell": (cli, "tilde_bell_exact")}
+        for name, (module, attr) in builders.items():
+            if name != target:
+                monkeypatch.setattr(module, attr, None)
+        assert run(capsys, "asym", target, "5,10")[0] == 0
+
 
 class TestLLT:
     def test_weighted_mu_formula(self, capsys):
@@ -195,6 +222,27 @@ class TestBench:
 
     def test_cap(self, capsys):
         assert run(capsys, "bench", "401")[0] == 2
+
+    def test_zero_repeats_is_usage_error(self, capsys):
+        code = main(["bench", "2", "--repeats", "0"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == "error: --repeats must be >= 1\n"
+
+    def test_procedure_is_timed_from_empty_prefixes(self, capsys, monkeypatch):
+        # a warm kernel must not turn the timed Stirling pipeline into a lookup
+        import bellnum.cli as cli
+
+        exact.matsunaga_rows(40)
+        seen = []
+
+        def procedure(n):
+            seen.append((len(exact._PREFIX.bells), len(exact._PREFIX.matsunaga)))
+            return cli.exact.bell_matsunaga(n).result, 0
+
+        monkeypatch.setattr(cli, "bench_matsunaga_procedure", procedure)
+        assert run(capsys, "bench", "16", "--repeats", "3")[0] == 0
+        assert seen == [(1, 1)] * 12
 
 
 class TestOeisCheck:
@@ -248,6 +296,22 @@ class TestUsage:
         assert main(["llt", "weighted-matsunaga", "3"]) == 2
 
 
+class TestMain:
+    @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                        reason="no int-to-str digit limit")
+    def test_int_digit_limit_restored(self, capsys):
+        before = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            # B_500 has 844 digits, more than the limit outside main()
+            code, out = run(capsys, "table", "bell", "500", "--format", "csv")
+            assert code == 0
+            assert len(out.splitlines()[-1]) > 640
+            assert sys.get_int_max_str_digits() == 640
+        finally:
+            sys.set_int_max_str_digits(before)
+
+
 class TestVerifyAll:
     def test_all_suite_passes(self, capsys):
         code, out = run(capsys, "verify", "all", "8")
@@ -257,3 +321,39 @@ class TestVerifyAll:
         assert "row sums zero" in out
         assert "enumeration total" in out
         assert "two-route moments" in out
+
+
+class TestVerifyIndependence:
+    """The identity checks stay independent of the kernel's routes: beta
+    is derived from B, so a fault in either must show."""
+
+    @pytest.fixture(autouse=True)
+    def fresh(self):
+        exact._reset()
+        yield
+        exact._reset()
+
+    def _line(self, capsys, check="splitting"):
+        code, out = run(capsys, "verify", "identities", "12")
+        return code, next(line for line in out.splitlines() if check in line)
+
+    def test_clean_prefixes_pass(self, capsys):
+        assert self._line(capsys) == (0, "ok: splitting B_n = beta_(n+1) + beta_n (n<=12)")
+
+    def test_corrupted_beta_prefix_fails(self, capsys):
+        exact.beta_numbers(13)
+        exact._PREFIX.betas[9] += 1
+        code, line = self._line(capsys)
+        assert code == 1
+        assert line.startswith("FAIL: splitting")
+
+    def test_corrupted_bell_prefix_fails(self, capsys):
+        # beta derived afterwards from the corrupted B agrees with it, so
+        # only the binomial route can catch the fault
+        exact.bell_numbers(6)
+        exact._PREFIX.bells[6] += 1
+        code, line = self._line(capsys)
+        assert code == 1
+        assert line == "FAIL: splitting B_n = beta_(n+1) + beta_n (n<=12) [first counterexample n=6]"
+        assert self._line(capsys, "alternating Bell sums")[1].startswith("FAIL")
+        assert self._line(capsys, "procedure equivalence")[1].startswith("FAIL")

@@ -386,3 +386,62 @@ class TestBellInverse:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             exact.solve_bell_inverse(0)
+
+
+class TestPrefixes:
+    """The growing prefixes against independent routes, and their reuse."""
+
+    @pytest.fixture(autouse=True)
+    def fresh(self):
+        exact._reset()
+        yield
+        exact._reset()
+
+    def test_prefixes_equal_independent_routes_to_300(self):
+        bells = exact.bell_numbers(300)
+        assert bells[1:] == [sum(r) for r in exact.b_table_rows(300).rows]
+        assert exact.beta_numbers(300) == exact._beta_binomial(300)
+
+    def test_extension_equals_fresh_build(self):
+        grown = []
+        for small, large in ((50, 200), (7, 60)):
+            exact._reset()
+            exact.bell_numbers(small)
+            exact.beta_numbers(small)
+            exact.poisson_moments(2, small)
+            exact.matsunaga_rows(small)
+            grown.append((exact.bell_numbers(large), exact.beta_numbers(large),
+                          exact.poisson_moments(2, large), exact.matsunaga_rows(large)))
+            exact._reset()
+            fresh = (exact.bell_numbers(large), exact.beta_numbers(large),
+                     exact.poisson_moments(2, large), exact.matsunaga_rows(large))
+            assert grown[-1] == fresh
+
+    def test_shorter_request_is_a_prefix(self):
+        assert exact.bell_numbers(200)[:51] == exact.bell_numbers(50)
+        assert exact.matsunaga_rows(60).rows[:20] == exact.matsunaga_rows(20).rows
+
+    def test_mutating_results_leaves_prefix_intact(self):
+        for fn in (exact.bell_numbers, exact.beta_numbers,
+                   lambda n: exact.poisson_moments(3, n)):
+            first = fn(20)
+            expected = list(first)
+            first[5] = -1
+            first.append(0)
+            assert fn(20) == expected
+        rows = exact.matsunaga_rows(10).rows
+        assert isinstance(rows, tuple) and all(isinstance(r, tuple) for r in rows)
+        assert list(exact.matsunaga_rows(10).row(7)) == TABLE_M[6]
+
+    def test_nothing_computed_at_import(self):
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        src = str(Path(exact.__file__).parents[1])
+        code = ("import sys; sys.path.insert(0, %r); import bellnum.cli; "
+                "from bellnum.exact import _PREFIX as p; "
+                "print(p.bells, p.betas, p.matsunaga, p.poisson)" % src)
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True).stdout
+        assert out == "[1] [1] [(0,)] {}\n"
