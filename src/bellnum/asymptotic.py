@@ -23,7 +23,6 @@ __all__ = [
     "ApproxValue",
     "SaddlePoint",
     "log_int",
-    "log_fraction",
     "lambert_w",
     "lambert_w_shift",
     "log_gamma",
@@ -83,12 +82,6 @@ def log_int(x: int) -> float:
     if x <= 0:
         raise ValueError("log_int needs a positive integer")
     return math.log(x)
-
-
-def log_fraction(q: Fraction) -> float:
-    if q <= 0:
-        raise ValueError("log_fraction needs a positive rational")
-    return math.log(q.numerator) - math.log(q.denominator)
 
 
 def lambert_w(x: float, tol: float = 1e-12) -> float:

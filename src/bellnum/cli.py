@@ -47,6 +47,9 @@ from .oeis import BFileParseError, check_bfile, REGISTRY
 __all__ = ["main", "build_parser", "bench_matsunaga_procedure", "bench_arima_procedure"]
 
 TABLE_CAP = 500
+VERIFY_CAP = 200
+ASYM_CAP = 2000
+LLT_CAP = 1000
 BENCH_ARIMA_CAP = 400
 BENCH_MATSUNAGA_CAP = 120
 
@@ -112,17 +115,21 @@ def _render(fmt: str, header: list[str], rows: list[list[object]], name: str) ->
     return _text_table(header, rows)
 
 
+def _check_cap(args: argparse.Namespace, N: int, default: int) -> None:
+    cap = args.max_n if args.max_n is not None else default
+    if N > cap:
+        raise UsageError(f"N={N} beyond cap {cap} (raise with --max-n)")
+
+
 # ----------------------------------------------------------------- table
 
 
 def cmd_table(args: argparse.Namespace) -> tuple[int, str]:
     seq = args.sequence
     N = args.N
-    cap = args.max_n if args.max_n is not None else TABLE_CAP
     if seq not in TABLE_SEQUENCES:
         raise UsageError(f"unknown sequence {seq!r}; choose from {', '.join(TABLE_SEQUENCES)}")
-    if N > cap:
-        raise UsageError(f"N={N} beyond cap {cap} (raise with --max-n)")
+    _check_cap(args, N, TABLE_CAP)
     if seq in ("bell", "beta", "pn-at-n"):
         if seq == "bell":
             values = exact.bell_numbers(N)
@@ -397,6 +404,7 @@ def cmd_verify(args: argparse.Namespace) -> tuple[int, str]:
     N = args.N
     if suite not in VERIFY_SUITES:
         raise UsageError(f"unknown suite {suite!r}; choose from {', '.join(VERIFY_SUITES)}")
+    _check_cap(args, N, VERIFY_CAP)
     results: list[tuple[str, str, str]] = []
     if suite in ("identities", "all"):
         results += _suite_identities(N)
@@ -425,6 +433,15 @@ def _parse_ladder(text: str) -> list[int]:
     return ladder
 
 
+def _stirling_points(ladder: list[int]) -> dict[int, dict[int, int]]:
+    """``|s[n,k]|`` at k = 2, n//2 and n-1 (ascending, each once) for every
+    n of the ladder, read in one pass over the signed rows that holds a
+    single row at a time."""
+    ks = {n: sorted({2, n // 2, n - 1}) for n in ladder}
+    return {n: {k: abs(row[k - 1]) for k in ks[n]}
+            for n, row in enumerate(exact._stirling_rows(max(ladder)), start=1) if n in ks}
+
+
 def cmd_asym(args: argparse.Namespace) -> tuple[int, str]:
     target = args.target
     if target not in ASYM_TARGETS:
@@ -446,6 +463,7 @@ def cmd_asym(args: argparse.Namespace) -> tuple[int, str]:
     if args.ladder is None:
         raise UsageError(f"target {target!r} needs a ladder of n values")
     ladder = _parse_ladder(args.ladder)
+    _check_cap(args, max(ladder), ASYM_CAP)
     rows: list[list[object]] = []
     if target in ("beta", "bell", "tilde-bell"):
         exact_fn = {"beta": exact.beta_numbers, "bell": exact.bell_numbers,
@@ -476,14 +494,13 @@ def cmd_asym(args: argparse.Namespace) -> tuple[int, str]:
                           ["n", "l", "exact_ratio", "approx_ratio", "rel_error", "order"],
                           rows, "asym-beta-ratio")
     # stirling: three regime-representative points per n
-    top = max(ladder)
-    s = exact.stirling_unsigned_rows(top)
+    if min(ladder) < 4:
+        raise UsageError("stirling comparison needs n >= 4")
+    points = _stirling_points(ladder)
     for n in ladder:
-        if n < 4:
-            raise UsageError("stirling comparison needs n >= 4")
-        for k in sorted({2, n // 2, n - 1}):
+        for k, value in points[n].items():
             a = stirling_asym(n, k)
-            le = log_int(s.entry(n, k))
+            le = log_int(value)
             rel = abs(math.exp(a.log_value - le) - 1)
             rows.append([n, k, a.regime, f"{le:.6f}", f"{a.log_value:.6f}",
                          f"{rel:.3e}", a.error_order])
@@ -501,12 +518,13 @@ def cmd_llt(args: argparse.Namespace) -> tuple[int, str]:
         raise UsageError(f"unknown family {family!r}; choose from {', '.join(sorted(FAMILIES))}")
     fam = FAMILIES[family]
     ladder = _parse_ladder(args.ladder)
+    _check_cap(args, max(ladder), LLT_CAP)
     if args.hist:
         rows: list[list[object]] = []
         for n in ladder:
             pmf = fam.build(n)
-            for k in pmf.support():
-                rows.append([n, k, repr(float(pmf.prob(k)))])
+            for k, w in zip(pmf.support(), pmf.weights):
+                rows.append([n, k, repr(w / pmf.total)])
         return 0, _render(args.format, ["n", "k", "probability"], rows, f"llt-hist-{family}")
     rows = []
     sups: list[float] = []

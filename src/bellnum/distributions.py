@@ -18,14 +18,11 @@ from math import comb
 from typing import Callable, Sequence
 
 from .exact import (
-    arima_rows,
     bell_numbers,
     beta_numbers,
-    generalized_binomial,
     matsunaga_rows,
     poisson_moments,
-    stirling_signed_rows,
-    stirling_unsigned_rows,
+    stirling_signed_row,
 )
 from .asymptotic import EULER_GAMMA, harmonic, lambert_w
 
@@ -114,13 +111,16 @@ def pmf_from_weights(k_min: int, weights: Sequence[int], name: str = "pmf") -> D
 
 
 def moments_exact(pmf: DiscretePMF) -> tuple[Fraction, Fraction]:
-    """Exact rational (mean, variance)."""
-    m1 = Fraction(0)
-    m2 = Fraction(0)
+    """Exact rational (mean, variance), from the integer sums
+    ``S1 = sum k w`` and ``S2 = sum k^2 w``: the variance is
+    ``(S2 T - S1^2) / T^2`` over the total T."""
+    s1 = s2 = 0
     for k, w in zip(pmf.support(), pmf.weights):
-        m1 += k * Fraction(w, pmf.total)
-        m2 += k * k * Fraction(w, pmf.total)
-    return m1, m2 - m1 * m1
+        kw = k * w
+        s1 += kw
+        s2 += k * kw
+    t = pmf.total
+    return Fraction(s1, t), Fraction(s2 * t - s1 * s1, t * t)
 
 
 # ---------------------------------------------------------------- families
@@ -220,7 +220,10 @@ def arima_pmf(n: int) -> DiscretePMF:
     """Distribution of ``C(n,k) B_{n-k}`` over k = 0..n (total B_{n+1})."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    return pmf_from_weights(0, arima_rows(n).row(n), name=f"arima[{n}]")
+    bells = bell_numbers(n)
+    return pmf_from_weights(
+        0, [comb(n, k) * bells[n - k] for k in range(n + 1)], name=f"arima[{n}]"
+    )
 
 
 def arima_reversed_pmf(n: int) -> DiscretePMF:
@@ -336,9 +339,9 @@ def variant_triangle(n: int, which: str) -> DiscretePMF:
     if n < 2:
         raise ValueError("n must be >= 2")
     if which == "A056856":
-        srow = stirling_unsigned_rows(n).row(n)
+        srow = stirling_signed_row(n)
         return pmf_from_weights(
-            1, [v * n ** (k - 1) for k, v in zip(range(1, n + 1), srow)], name=which
+            1, [abs(v) * n ** (k - 1) for k, v in zip(range(1, n + 1), srow)], name=which
         )
     if which == "A220883":
         coeffs = _poly_product([(j, n + 1) for j in range(1, n)])
@@ -396,7 +399,7 @@ def llt_report(pmf: DiscretePMF, family: LLTFamily, n: int,
     for k, w in zip(pmf.support(), pmf.weights):
         x = (k - mu) / sigma
         gauss = inv_sqrt2pi * math.exp(-0.5 * x * x)
-        p = float(Fraction(w, pmf.total))
+        p = w / pmf.total  # int division is correctly rounded, like Fraction's float
         dev = abs(sigma * p - gauss)
         if dev > sup:
             sup = dev
@@ -419,7 +422,7 @@ def bnk_ratio_uniformity(n: int) -> float:
     if n < 4:
         raise ValueError("n must be >= 4")
     mrow = matsunaga_rows(n).row(n)
-    srow = stirling_signed_rows(n).row(n)
+    srow = stirling_signed_row(n)
     bn = beta_numbers(n)[n]
     worst = Fraction(0)
     for mv, sv in zip(mrow, srow):

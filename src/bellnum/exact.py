@@ -32,6 +32,7 @@ __all__ = [
     "TriangleTable",
     "HornerTrace",
     "PartitionShape",
+    "stirling_signed_row",
     "stirling_signed_rows",
     "stirling_unsigned_rows",
     "b_table_rows",
@@ -178,17 +179,13 @@ class _Prefixes:
         self.bells = [1]  # B_0, B_1, ... from Aitken's array
         self.aitken_row = [1]  # the array's row whose first entry is bells[-1]
         self.betas = [1]  # beta_0, beta_1, ... from the splitting identity
-        self.poisson: dict[int, list[int]] = {}  # mean -> raw moments 0, 1, ...
+        # mean -> (raw moments 0, 1, ..., the array row whose first entry is the last moment)
+        self.poisson: dict[int, tuple[list[int], list[int]]] = {}
         self.matsunaga = [(0,)]  # rows 1, 2, ... of M
         self.matsunaga_s = (1,)  # signed Stirling row of M's last row
 
     def bells_upto(self, N: int) -> list[int]:
-        # each row of Aitken's array starts with the last entry of the one
-        # above and adds the entries above; its first entry is B_n
-        row = self.aitken_row
-        for _ in range(len(self.bells), N + 1):
-            row = self.aitken_row = list(accumulate(row, initial=row[-1]))
-            self.bells.append(row[0])
+        self.aitken_row = _aitken_extend(self.bells, self.aitken_row, 1, N)
         return self.bells
 
     def betas_upto(self, N: int) -> list[int]:
@@ -198,9 +195,8 @@ class _Prefixes:
         return betas
 
     def poisson_upto(self, mean: int, N: int) -> list[int]:
-        m = self.poisson.setdefault(mean, [1])
-        for n in range(len(m) - 1, N):
-            m.append(mean * sum(comb(n, j) * m[j] for j in range(n + 1)))
+        m, row = self.poisson.get(mean, ([1], [1]))
+        self.poisson[mean] = m, _aitken_extend(m, row, mean, N)
         return m
 
     def matsunaga_upto(self, N: int) -> list[tuple[int, ...]]:
@@ -209,6 +205,21 @@ class _Prefixes:
             srow = self.matsunaga_s = _stirling_next(self.matsunaga_s, n)
             rows.append(tuple(n * m + beta[n] * s for m, s in zip(rows[-1] + (0,), srow)))
         return rows
+
+
+def _aitken_extend(m: list[int], row: list[int], mean: int, N: int) -> list[int]:
+    """Extend the Poisson moments m to m_0..m_N by Aitken's array and return
+    its new last row; ``row`` is the row whose first entry is m[-1].
+
+    Each row starts with ``mean`` times the last entry of the row above and
+    adds the entries above; row n holds ``sum_j C(k,j) m_{n-k+j}`` at k, so
+    its first entry is m_n and its last entry times the mean is m_{n+1}.
+    Mean 1 is the Bell triangle, whose first column is B_n.
+    """
+    for _ in range(len(m), N + 1):
+        row = list(accumulate(row, initial=mean * row[-1]))
+        m.append(row[0])
+    return row
 
 
 _PREFIX = _Prefixes()
@@ -232,6 +243,17 @@ def _stirling_rows(N: int) -> Iterator[tuple[int, ...]]:
     for n in range(2, N + 1):
         row = _stirling_next(row, n)
         yield row
+
+
+def stirling_signed_row(n: int) -> tuple[int, ...]:
+    """Signed Stirling row n alone; each earlier row is dropped once the
+    next one is built."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    row = (1,)
+    for j in range(2, n + 1):
+        row = _stirling_next(row, j)
+    return row
 
 
 def stirling_signed_rows(N: int) -> TriangleTable:
@@ -516,8 +538,9 @@ def beta_via_shapes(n: int) -> int:
 def poisson_moments(mean: int, N: int) -> list[int]:
     """Raw moments 0..N of a Poisson variable with integer mean a.
 
-    ``m_{n+1} = a * sum_j C(n,j) m_j``; a = 1 gives the Bell numbers,
-    a = 2 the doubled-exponential analogue, and so on.
+    ``m_{n+1} = a * sum_j C(n,j) m_j``, evaluated by an Aitken-style array
+    (additions, and one multiplication by a per row); a = 1 gives the Bell
+    numbers, a = 2 the doubled-exponential analogue, and so on.
     """
     if mean < 1 or N < 0:
         raise ValueError("need mean >= 1 and N >= 0")

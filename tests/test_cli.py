@@ -160,6 +160,38 @@ class TestAsym:
         assert code == 0
         assert [int(line.split(",")[1]) for line in out.strip().splitlines()[1:]] == ks
 
+    def test_stirling_points_equal_triangle_entries(self):
+        import bellnum.cli as cli
+
+        ladder = [4, 5, 30, 9, 30]
+        tri = exact.stirling_unsigned_rows(30)
+        points = cli._stirling_points(ladder)
+        assert sorted(points) == [4, 5, 9, 30]
+        for n, row in points.items():
+            assert list(row) == sorted({2, n // 2, n - 1})
+            assert all(v == tri.entry(n, k) for k, v in row.items())
+
+    def test_stirling_pass_holds_one_row(self):
+        # the whole triangle to n = 300 takes about 6 MB, one row about 90 kB
+        import tracemalloc
+
+        import bellnum.cli as cli
+
+        tracemalloc.start()
+        try:
+            cli._stirling_points([150, 300])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+
+    def test_stirling_small_n_fails_before_the_pass(self, capsys, monkeypatch):
+        monkeypatch.setattr(exact, "_stirling_rows", None)
+        code = main(["asym", "stirling", "900,3"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == "error: stirling comparison needs n >= 4\n"
+
     @pytest.mark.parametrize("target", ["beta", "bell", "tilde-bell"])
     def test_builds_only_the_requested_sequence(self, capsys, monkeypatch, target):
         import bellnum.cli as cli
@@ -203,6 +235,61 @@ class TestLLT:
         _, first = run(capsys, "llt", "a220884", "10,20", "--format", "csv")
         _, second = run(capsys, "llt", "a220884", "10,20", "--format", "csv")
         assert first == second
+
+
+class TestCaps:
+    """``--max-n`` bounds llt, asym and verify like table: one line on
+    stderr and exit 2 before any work starts."""
+
+    @pytest.fixture
+    def no_work(self, monkeypatch):
+        import dataclasses
+
+        import bellnum.cli as cli
+
+        def refuse(*_):
+            raise AssertionError("work started past the cap")
+
+        for name, fam in cli.FAMILIES.items():
+            monkeypatch.setitem(cli.FAMILIES, name, dataclasses.replace(fam, build=refuse))
+        for name in ("bell_numbers", "beta_numbers", "_stirling_rows"):
+            monkeypatch.setattr(exact, name, refuse)
+        monkeypatch.setattr(cli, "_suite_identities", refuse)
+        monkeypatch.setattr(cli, "_suite_variants", refuse)
+
+    @pytest.mark.parametrize("argv, n, cap", [
+        (["llt", "matsunaga", "5000"], 5000, 1000),
+        (["llt", "arima", "10,30", "--max-n", "20"], 30, 20),
+        (["llt", "arima", "30", "--hist", "--max-n", "29"], 30, 29),
+        (["asym", "bell", "10,2001"], 2001, 2000),
+        (["asym", "stirling", "40", "--max-n", "39"], 40, 39),
+        (["verify", "identities", "201"], 201, 200),
+        (["verify", "variants", "5", "--max-n", "4"], 5, 4),
+    ])
+    def test_beyond_cap_is_usage_error(self, capsys, no_work, argv, n, cap):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"error: N={n} beyond cap {cap} (raise with --max-n)\n"
+
+    def test_phi_takes_no_ladder_to_cap(self, capsys):
+        assert run(capsys, "asym", "phi", "--max-n", "1")[0] == 0
+
+    def test_defaults_admit_the_sizes_in_use(self):
+        # the benchmark's cold CLI matrix runs llt up to 600 and asym up to
+        # 900; the roadmap times verify identities 100
+        import bellnum.cli as cli
+
+        assert cli.LLT_CAP >= 600 and cli.ASYM_CAP >= 900 and cli.VERIFY_CAP >= 100
+
+    @pytest.mark.parametrize("argv", [
+        ["llt", "arima", "10,30", "--max-n", "30"],
+        ["asym", "stirling", "40", "--max-n", "40"],
+        ["verify", "identities", "5", "--max-n", "5"],
+    ])
+    def test_at_cap_runs(self, capsys, argv):
+        assert run(capsys, *argv)[0] == 0
 
 
 class TestBench:
@@ -326,6 +413,25 @@ class TestVerifyAll:
 class TestVerifyIndependence:
     """The identity checks stay independent of the kernel's routes: beta
     is derived from B, so a fault in either must show."""
+
+    def test_two_route_moments_sum_over_the_support(self, capsys, monkeypatch):
+        # one unit of mass added at k = n reaches the direct route only
+        import dataclasses
+
+        import bellnum.cli as cli
+
+        fam = cli.FAMILIES["arima"]
+
+        def skewed(n):
+            pmf = fam.build(n)
+            return dataclasses.replace(pmf, weights=pmf.weights[:-1] + (pmf.weights[-1] + 1,),
+                                       total=pmf.total + 1)
+
+        monkeypatch.setitem(cli.FAMILIES, "arima", dataclasses.replace(fam, build=skewed))
+        code, out = run(capsys, "verify", "variants", "6")
+        assert code == 1
+        assert ("FAIL: two-route moments (closed forms = direct, 4<=n<=6) "
+                "[first counterexample ('arima', 4)]") in out.splitlines()
 
     @pytest.fixture(autouse=True)
     def fresh(self):

@@ -120,6 +120,13 @@ class TestArimaFamily:
     def test_total_row7(self):
         assert dist.arima_pmf(7).total == 4140
 
+    def test_pmf_is_the_triangle_row(self, bells):
+        rows = exact.arima_rows(120)
+        for n in range(1, 121):
+            pmf = dist.arima_pmf(n)
+            assert pmf.weights == rows.row(n)
+            assert pmf.total == bells[n + 1]
+
     def test_two_route_moments(self):
         for n in range(1, 26):
             assert dist.arima_exact_moments(n) == dist.moments_exact(dist.arima_pmf(n))
@@ -226,6 +233,11 @@ class TestVariantTriangles:
     def test_a056856_top_entry(self):
         assert dist.variant_triangle(5, "A056856").weights[-1] == 625
 
+    def test_a056856_is_the_unsigned_stirling_row(self, stirling26):
+        for n in range(2, 27):
+            weights = dist.variant_triangle(n, "A056856").weights
+            assert weights == tuple(v * n ** k for k, v in enumerate(stirling26.row(n)))
+
     def test_a124323_first_column(self, betas):
         assert dist.variant_triangle(6, "A124323").weights[0] == 41
         for n in (4, 9, 15):
@@ -248,6 +260,37 @@ class TestVariantTriangles:
     def test_unknown_variant(self):
         with pytest.raises(ValueError):
             dist.variant_triangle(10, "A000000")
+
+
+def _family_pmfs(top=40):
+    """Every FAMILIES member for n <= top that the family defines."""
+    for name, fam in sorted(dist.FAMILIES.items()):
+        for n in range(1, top + 1):
+            try:
+                yield name, n, fam.build(n)
+            except ValueError:
+                continue
+
+
+class TestIntegerRoutes:
+    """The integer moment sums and float probabilities against the
+    per-point Fraction routes they replace."""
+
+    def test_moments_equal_per_point_fraction_sums(self):
+        seen = set()
+        for name, n, pmf in _family_pmfs():
+            m1 = m2 = Fraction(0)
+            for k, w in zip(pmf.support(), pmf.weights):
+                m1 += k * Fraction(w, pmf.total)
+                m2 += k * k * Fraction(w, pmf.total)
+            assert dist.moments_exact(pmf) == (m1, m2 - m1 * m1), (name, n)
+            seen.add(name)
+        assert seen == set(dist.FAMILIES)
+
+    def test_int_division_equals_fraction_float(self):
+        for name, n, pmf in _family_pmfs():
+            for w in pmf.weights:
+                assert w / pmf.total == float(Fraction(w, pmf.total)), (name, n, w)
 
 
 class TestLLTReports:

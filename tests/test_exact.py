@@ -87,6 +87,13 @@ class TestStirling:
     def test_bad_n(self):
         with pytest.raises(ValueError):
             exact.stirling_signed_rows(0)
+        with pytest.raises(ValueError):
+            exact.stirling_signed_row(0)
+
+    def test_single_row_equals_triangle_row(self):
+        tri = exact.stirling_signed_rows(60)
+        for n in (1, 2, 3, 17, 60):
+            assert exact.stirling_signed_row(n) == tri.row(n)
 
 
 class TestStirlingMonotoneStep:
@@ -357,6 +364,13 @@ class TestPoissonMoments:
     def test_mean_two_first_values(self):
         assert exact.poisson_moments(2, 4) == [1, 2, 6, 22, 94]
 
+    @pytest.mark.parametrize("a", [1, 2, 3])
+    def test_array_equals_binomial_recurrence_to_200(self, a):
+        m = [1]
+        for n in range(200):
+            m.append(a * sum(comb(n, j) * m[j] for j in range(n + 1)))
+        assert exact.poisson_moments(a, 200) == m
+
 
 class TestArima:
     def test_published_rows(self, bells):
@@ -408,13 +422,16 @@ class TestPrefixes:
             exact._reset()
             exact.bell_numbers(small)
             exact.beta_numbers(small)
-            exact.poisson_moments(2, small)
+            for a in (1, 2, 3):
+                exact.poisson_moments(a, small)
             exact.matsunaga_rows(small)
             grown.append((exact.bell_numbers(large), exact.beta_numbers(large),
-                          exact.poisson_moments(2, large), exact.matsunaga_rows(large)))
+                          [exact.poisson_moments(a, large) for a in (1, 2, 3)],
+                          exact.matsunaga_rows(large)))
             exact._reset()
             fresh = (exact.bell_numbers(large), exact.beta_numbers(large),
-                     exact.poisson_moments(2, large), exact.matsunaga_rows(large))
+                     [exact.poisson_moments(a, large) for a in (1, 2, 3)],
+                     exact.matsunaga_rows(large))
             assert grown[-1] == fresh
 
     def test_shorter_request_is_a_prefix(self):
