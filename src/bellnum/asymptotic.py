@@ -380,6 +380,28 @@ def stirling_regime(n: int, k: int) -> str:
     return "central"
 
 
+def _log_stirling_small(n: int, k: int) -> float:
+    ln = math.log(n)
+    return (math.lgamma(n + 1.0) + (k - 1) * math.log(ln) - math.log(n)
+            - math.lgamma(1.0 + (k - 1) / ln) - math.lgamma(float(k)))
+
+
+def _log_stirling_large(n: int, k: int) -> float:
+    ell = n - k
+    return 2.0 * ell * math.log(n) - math.lgamma(ell + 1.0) - ell * math.log(2.0)
+
+
+def _log_stirling_central(n: int, k: int) -> tuple[float, SaddlePoint]:
+    sp = solve_mw2_saddle(n, k)
+    r = sp.root
+    V = k + r * r * (trigamma(n + r) - trigamma(r))
+    if V <= 0.0:
+        raise ArithmeticError(f"nonpositive variance factor V={V} at (n={n}, k={k})")
+    logv = (-k * math.log(r) + math.lgamma(n + r) - math.lgamma(r)
+            - 0.5 * math.log(2.0 * math.pi * V))
+    return logv, sp
+
+
 def stirling_asym(n: int, k: int) -> ApproxValue:
     """log |s(n,k)| by the regime-appropriate approximation.
 
@@ -389,30 +411,12 @@ def stirling_asym(n: int, k: int) -> ApproxValue:
     """
     regime = stirling_regime(n, k)
     if regime == "small_k":
-        ln = math.log(n)
-        logv = (
-            math.lgamma(n + 1.0)
-            + (k - 1) * math.log(ln)
-            - math.log(n)
-            - math.lgamma(1.0 + (k - 1) / ln)
-            - math.lgamma(float(k))
-        )
-        return ApproxValue(log_value=logv, error_order="O(k (log n)^-2)", regime=regime)
+        return ApproxValue(log_value=_log_stirling_small(n, k),
+                           error_order="O(k (log n)^-2)", regime=regime)
     if regime == "large_k":
-        ell = n - k
-        logv = 2.0 * ell * math.log(n) - math.lgamma(ell + 1.0) - ell * math.log(2.0)
-        return ApproxValue(log_value=logv, error_order="O((l+1)^2 n^-1)", regime=regime)
-    sp = solve_mw2_saddle(n, k)
-    r = sp.root
-    V = k + r * r * (trigamma(n + r) - trigamma(r))
-    if V <= 0.0:
-        raise ArithmeticError(f"nonpositive variance factor V={V} at (n={n}, k={k})")
-    logv = (
-        -k * math.log(r)
-        + math.lgamma(n + r)
-        - math.lgamma(r)
-        - 0.5 * math.log(2.0 * math.pi * V)
-    )
+        return ApproxValue(log_value=_log_stirling_large(n, k),
+                           error_order="O((l+1)^2 n^-1)", regime=regime)
+    logv, sp = _log_stirling_central(n, k)
     return ApproxValue(log_value=logv, error_order="O(V^-1)", regime=regime, saddle=sp)
 
 
@@ -426,30 +430,15 @@ def stirling_overlap_check(n: int) -> list[tuple[int, str, float]]:
     """
     if n < 8:
         raise ValueError("overlap check needs n >= 8")
-
-    def small(k: int) -> float:
-        ln = math.log(n)
-        return (math.lgamma(n + 1.0) + (k - 1) * math.log(ln) - math.log(n)
-                - math.lgamma(1.0 + (k - 1) / ln) - math.lgamma(float(k)))
-
-    def large(k: int) -> float:
-        ell = n - k
-        return 2.0 * ell * math.log(n) - math.lgamma(ell + 1.0) - ell * math.log(2.0)
-
-    def central(k: int) -> float:
-        sp = solve_mw2_saddle(n, k)
-        r = sp.root
-        V = k + r * r * (trigamma(n + r) - trigamma(r))
-        return (-k * math.log(r) + math.lgamma(n + r) - math.lgamma(r)
-                - 0.5 * math.log(2.0 * math.pi * V))
-
     out = []
     k_sc = int(2.0 * math.log(n))
     for k in (k_sc, k_sc + 1):
-        out.append((k, "small/central", abs(math.exp(small(k) - central(k)) - 1.0)))
+        gap = math.exp(_log_stirling_small(n, k) - _log_stirling_central(n, k)[0]) - 1.0
+        out.append((k, "small/central", abs(gap)))
     k_cl = n - int(n**0.4)
     for k in (k_cl, k_cl + 1):
-        out.append((k, "central/large", abs(math.exp(large(k) - central(k)) - 1.0)))
+        gap = math.exp(_log_stirling_large(n, k) - _log_stirling_central(n, k)[0]) - 1.0
+        out.append((k, "central/large", abs(gap)))
     return out
 
 

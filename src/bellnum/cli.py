@@ -10,6 +10,7 @@ emitted with a header row, full-decimal integers, UTF-8 and LF endings.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -17,6 +18,7 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
+from typing import Any, Callable, Iterable, Iterator
 
 from . import exact, partitions
 from .asymptotic import (
@@ -63,8 +65,6 @@ TABLE_SEQUENCES = (
     "pn-at-n",
     "b-table",
 )
-
-VERIFY_SUITES = ("identities", "oracle", "variants", "all")
 
 ASYM_TARGETS = ("beta", "bell", "tilde-bell", "stirling", "beta-ratio", "phi")
 
@@ -161,242 +161,186 @@ def cmd_table(args: argparse.Namespace) -> tuple[int, str]:
 # ---------------------------------------------------------------- verify
 
 
-def _check(results: list[tuple[str, str, str]], name: str, ok: bool, detail: str = "") -> None:
-    results.append(("ok" if ok else "FAIL", name, detail))
+@dataclass(frozen=True)
+class Check:
+    """One verify line: ``holds`` must be true at every point of ``domain``,
+    walked lazily and in order.  FAIL shows ``witness`` and the first point
+    where it is false; ok shows ``note``."""
+
+    name: str
+    domain: Iterable[Any]
+    holds: Callable[[Any], bool]
+    witness: str = "first counterexample n="
+    note: str = ""
 
 
-def _suite_identities(N: int) -> list[tuple[str, str, str]]:
-    res: list[tuple[str, str, str]] = []
+def _run(check: Check) -> tuple[str, str]:
+    """(status, detail): FAIL at the first counterexample, skip when the
+    domain has no point, ok otherwise."""
+    empty = True
+    for point in check.domain:
+        if not check.holds(point):
+            return "FAIL", check.witness + str(point)
+        empty = False
+    return ("skip", "") if empty else ("ok", check.note)
+
+
+def _triangle(N: int) -> Iterator[tuple[int, int]]:
+    """(n, k) with 1 <= k <= n <= N, row by row."""
+    return ((n, k) for n in range(1, N + 1) for k in range(1, n + 1))
+
+
+def _identities(N: int) -> list[Check]:
     m = exact.matsunaga_rows(N)
-    beta = exact.beta_numbers(N + 1)
-    bells = exact.bell_numbers(N + 1)
-
-    bad = [n for n in range(1, N + 1) if sum(m.row(n)) != 0]
-    _check(res, f"matsunaga row sums zero (n<={N})", not bad,
-           f"first counterexample n={bad[0]}" if bad else "")
-
-    bad = [n for n in range(1, N + 1) if m.entry(n, n) != beta[n]]
-    _check(res, "matsunaga diagonal equals beta", not bad,
-           f"first counterexample n={bad[0]}" if bad else "")
-
-    # beta comes from B by this very identity, so check it on the binomial
-    # route and hold the derived prefix to that route
-    beta_rec = exact._beta_binomial(N + 1)
-    bad = [n for n in range(N + 1)
-           if bells[n] != beta_rec[n + 1] + beta_rec[n] or beta[n:n + 2] != beta_rec[n:n + 2]]
-    _check(res, f"splitting B_n = beta_(n+1) + beta_n (n<={N})", not bad,
-           f"first counterexample n={bad[0]}" if bad else "")
-
-    bad = []
-    for n in range(2, N + 1):
-        total = sum(v * n**k for k, v in zip(range(1, n + 1), m.row(n)))
-        if total != (bells[n] - 1) * factorial(n):
-            bad.append(n)
-    _check(res, f"sum_k M[n,k] n^k = (B_n - 1) n! (2<=n<={N})", not bad,
-           f"first counterexample n={bad[0]}" if bad else "")
-
-    cap = min(N, 25)
-    bad_nk = None
-    for n in range(1, cap + 1):
-        for k in range(1, n + 1):
-            if exact.matsunaga_via_sum(n, k) != m.entry(n, k):
-                bad_nk = (n, k)
-                break
-        if bad_nk:
-            break
-    _check(res, f"sum form equals recurrence triangle (n<={cap})", bad_nk is None,
-           f"first counterexample (n,k)={bad_nk}" if bad_nk else "")
-
-    bad_nk = None
-    exception_seen = False
-    for n in range(1, N + 1):
-        formula = exact.abs_matsunaga_row(n)
-        for k in range(1, n + 1):
-            truth = abs(m.entry(n, k))
-            if (n, k) == (3, 1):
-                exception_seen = formula[k - 1] == -truth
-                if not exception_seen:
-                    bad_nk = (n, k)
-            elif formula[k - 1] != truth:
-                bad_nk = (n, k)
-            if bad_nk:
-                break
-        if bad_nk:
-            break
-    detail = "expected sign exception at (3,1) confirmed" if N >= 3 and exception_seen else ""
-    _check(res, f"alternating |M| formula, exception exactly (3,1) (n<={N})",
-           bad_nk is None, detail if bad_nk is None else f"violated at (n,k)={bad_nk}")
-
-    bad_case = None
-    for n in range(4, min(N, 20) + 1):
-        for v in (Fraction(1), Fraction(n), Fraction(-1, 2), Fraction(7, 3)):
-            if exact.pnv_eval(n, v) != exact.pnv_closed(n, v):
-                bad_case = (n, v)
-                break
-        if bad_case:
-            break
-    _check(res, "closed P_n(v) equals direct P_n(v) on rational grid",
-           bad_case is None, f"first counterexample (n,v)={bad_case}" if bad_case else "")
-
     top = max(N, 50)
-    beta_ext = exact.beta_numbers(top + 1)
-    bad = [n for n in range(3, top + 1)
-           if Fraction(beta_ext[n + 1], n + 1) < Fraction(beta_ext[n], n)]
-    _check(res, f"beta_(n+1)/(n+1) >= beta_n/n (3<=n<={top})", not bad,
-           f"first counterexample n={bad[0]}" if bad else "")
-
-    cap = min(N, 25)
-    s = exact.stirling_unsigned_rows(cap + 1)
-    bad_nk = None
-    for n in range(1, cap + 1):
-        for k in range(1, n + 1):
-            if s.entry(n + 1, k) < n * s.entry(n, k):
-                bad_nk = (n, k)
-                break
-        if bad_nk:
-            break
-    _check(res, f"|s[n+1,k]| >= n |s[n,k]| (n<={cap})", bad_nk is None,
-           f"first counterexample (n,k)={bad_nk}" if bad_nk else "")
-
-    cap = min(N, 30)
-    bad = [n for n in range(cap + 1)
-           if exact.beta_from_bells(n, bells) != beta_rec[n]]
-    _check(res, f"beta from alternating Bell sums (n<={cap})", not bad,
-           f"first counterexample n={bad[0]}" if bad else "")
-
-    cap = min(N, 25)
-    b_table = exact.b_table_rows(cap)
-    bad = []
-    for n in range(2, cap + 1):
-        b = sum(b_table.row(n))
-        if exact.bell_matsunaga(n).result != b or exact.bell_via_shapes(n) != b or bells[n] != b:
-            bad.append(n)
-    _check(res, f"procedure equivalence (Horner = recurrence = shapes, n<={cap})",
-           not bad, f"first counterexample n={bad[0]}" if bad else "")
-
+    beta = exact.beta_numbers(top + 1)
+    bells = exact.bell_numbers(N + 1)
+    # beta comes from B by the splitting identity, so check it on the
+    # binomial route and hold the derived prefix to that route
+    beta_rec = exact._beta_binomial(N + 1)
+    c25, c30 = min(N, 25), min(N, 30)
+    s = exact.stirling_unsigned_rows(c25 + 1)
+    b_table = exact.b_table_rows(c25)
     vals, norm = exact.pn_at_n(N)
-    bad = []
-    for n in range(1, N + 1):
-        direct = exact.pnv_eval(n, n)
-        if direct != vals[n] or vals[n] != norm[n] * factorial(n):
-            bad.append(n)
-    _check(res, f"P_n(n) closed/direct agree and n! divides (n<={N})", not bad,
-           f"first counterexample n={bad[0]}" if bad else "")
+    abs_row = functools.lru_cache(maxsize=1)(exact.abs_matsunaga_row)
 
-    bad = []
-    for n in range(4, N + 1):
-        lhs = exact.pnv_eval(n, 1)
+    def abs_formula(nk: tuple[int, int]) -> bool:
+        truth = abs(m.entry(*nk))
+        # the formula's one sign exception
+        return abs_row(nk[0])[nk[1] - 1] == (-truth if nk == (3, 1) else truth)
+
+    def procedures_agree(n: int) -> bool:
+        b = sum(b_table.row(n))
+        return (exact.bell_matsunaga(n).result == b and exact.bell_via_shapes(n) == b
+                and bells[n] == b)
+
+    def corollary(n: int) -> bool:
         rhs = sum((-1) ** j * (j + 1) * bells[n - 1 - j] for j in range(n)) + (-1) ** n * n
-        if lhs != rhs * factorial(n):
-            bad.append(n)
-    _check(res, f"P_n(1)/n! alternating-Bell corollary (4<=n<={N})", not bad,
-           f"first counterexample n={bad[0]}" if bad else "")
-    return res
+        return exact.pnv_eval(n, 1) == rhs * factorial(n)
+
+    grid = ((n, v) for n in range(4, min(N, 20) + 1)
+            for v in (Fraction(1), Fraction(n), Fraction(-1, 2), Fraction(7, 3)))
+    return [
+        Check(f"matsunaga row sums zero (n<={N})", range(1, N + 1), lambda n: sum(m.row(n)) == 0),
+        Check("matsunaga diagonal equals beta", range(1, N + 1),
+              lambda n: m.entry(n, n) == beta[n]),
+        Check(f"splitting B_n = beta_(n+1) + beta_n (n<={N})", range(N + 1),
+              lambda n: bells[n] == beta_rec[n + 1] + beta_rec[n]
+              and beta[n:n + 2] == beta_rec[n:n + 2]),
+        Check(f"sum_k M[n,k] n^k = (B_n - 1) n! (2<=n<={N})", range(2, N + 1),
+              lambda n: sum(v * n**k for k, v in enumerate(m.row(n), start=1))
+              == (bells[n] - 1) * factorial(n)),
+        Check(f"sum form equals recurrence triangle (n<={c25})", _triangle(c25),
+              lambda nk: exact.matsunaga_via_sum(*nk) == m.entry(*nk),
+              "first counterexample (n,k)="),
+        Check(f"alternating |M| formula, exception exactly (3,1) (n<={N})", _triangle(N),
+              abs_formula, "violated at (n,k)=",
+              "expected sign exception at (3,1) confirmed" if N >= 3 else ""),
+        Check("closed P_n(v) equals direct P_n(v) on rational grid", grid,
+              lambda nv: exact.pnv_eval(*nv) == exact.pnv_closed(*nv),
+              "first counterexample (n,v)="),
+        Check(f"beta_(n+1)/(n+1) >= beta_n/n (3<=n<={top})", range(3, top + 1),
+              lambda n: Fraction(beta[n + 1], n + 1) >= Fraction(beta[n], n)),
+        Check(f"|s[n+1,k]| >= n |s[n,k]| (n<={c25})", _triangle(c25),
+              lambda nk: s.entry(nk[0] + 1, nk[1]) >= nk[0] * s.entry(*nk),
+              "first counterexample (n,k)="),
+        Check(f"beta from alternating Bell sums (n<={c30})", range(c30 + 1),
+              lambda n: exact.beta_from_bells(n, bells) == beta_rec[n]),
+        Check(f"procedure equivalence (Horner = recurrence = shapes, n<={c25})",
+              range(2, c25 + 1), procedures_agree),
+        Check(f"P_n(n) closed/direct agree and n! divides (n<={N})", range(1, N + 1),
+              lambda n: exact.pnv_eval(n, n) == vals[n] == norm[n] * factorial(n)),
+        Check(f"P_n(1)/n! alternating-Bell corollary (4<=n<={N})", range(4, N + 1), corollary),
+    ]
 
 
-def _suite_oracle(N: int) -> list[tuple[str, str, str]]:
-    res: list[tuple[str, str, str]] = []
+def _oracle(N: int) -> list[Check]:
     if N > partitions.STATS_CAP:
         raise UsageError(f"oracle suite capped at N={partitions.STATS_CAP}")
     bells = exact.bell_numbers(N)
     beta = exact.beta_numbers(N)
-    for n in range(1, N + 1):
-        st = partitions.collect_stats(n)
-        _check(res, f"enumeration total at n={n} equals B_{n}={bells[n]}",
-               st.total == bells[n], f"got {st.total}")
-        _check(res, f"singleton-free total at n={n} equals beta_{n}={beta[n]}",
-               st.no_singleton_total == beta[n], f"got {st.no_singleton_total}")
-        shape_bad = None
-        for shape, cnt in st.by_shape.items():
-            if cnt != exact.bell_polynomial_coefficient(shape):
-                shape_bad = shape
-                break
-        _check(res, f"shape counts at n={n} equal multinomial coefficients",
-               shape_bad is None, f"bad shape {shape_bad}" if shape_bad else "")
-        bad_k = [k for k in range(1, n + 1)
-                 if st.block_of_element1_size_hist[k] != math.comb(n - 1, k - 1) * bells[n - k]]
-        _check(res, f"block-of-element-1 histogram at n={n}", not bad_k,
-               f"first bad k={bad_k[0]}" if bad_k else "")
-        bad_k = [k for k in range(n + 1)
-                 if st.singleton_count_hist[k] != math.comb(n, k) * beta[n - k]]
-        _check(res, f"singleton-count histogram at n={n}", not bad_k,
-               f"first bad k={bad_k[0]}" if bad_k else "")
+    checks = [c for n in range(1, N + 1)
+              for c in _oracle_at(n, partitions.collect_stats(n), bells, beta)]
     if N >= 5:
-        _check(res, "52 five-element patterns", len(partitions.genjiko_patterns()) == 52)
-    return res
+        checks.append(Check("52 five-element patterns", (len(partitions.genjiko_patterns()),),
+                            lambda count: count == 52, "got "))
+    return checks
 
 
-def _suite_variants(N: int) -> list[tuple[str, str, str]]:
-    res: list[tuple[str, str, str]] = []
+def _oracle_at(n: int, st: partitions.PartitionStats, bells: list[int],
+               beta: list[int]) -> list[Check]:
+    return [
+        Check(f"enumeration total at n={n} equals B_{n}={bells[n]}", (st.total,),
+              lambda total: total == bells[n], "got ", f"got {st.total}"),
+        Check(f"singleton-free total at n={n} equals beta_{n}={beta[n]}",
+              (st.no_singleton_total,), lambda total: total == beta[n],
+              "got ", f"got {st.no_singleton_total}"),
+        Check(f"shape counts at n={n} equal multinomial coefficients", st.by_shape,
+              lambda shape: st.by_shape[shape] == exact.bell_polynomial_coefficient(shape),
+              "bad shape "),
+        Check(f"block-of-element-1 histogram at n={n}", range(1, n + 1),
+              lambda k: st.block_of_element1_size_hist[k]
+              == math.comb(n - 1, k - 1) * bells[n - k], "first bad k="),
+        Check(f"singleton-count histogram at n={n}", range(n + 1),
+              lambda k: st.singleton_count_hist[k] == math.comb(n, k) * beta[n - k],
+              "first bad k="),
+    ]
+
+
+def _variants(N: int) -> list[Check]:
     s = exact.stirling_unsigned_rows(N + 1)
-    bad = None
-    for n in range(2, N + 1):
-        t = variant_triangle(n, "A220883")
-        closed = [s.entry(n, k + 1) * (n + 1) ** k for k in range(n)]
-        if list(t.weights) != closed:
-            bad = n
-            break
-    _check(res, f"product triangle = |s| * (n+1)^k closed form (n<={N})", bad is None,
-           f"first counterexample n={bad}" if bad else "")
-
-    bad = None
-    for n in range(2, N + 1):
-        t = variant_triangle(n, "A260887")
-        closed = [n**k * sum((-1) ** (k - j) * s.entry(n + 1, j + 1) for j in range(k + 1))
-                  for k in range(n)]
-        if list(t.weights) != closed:
-            bad = n
-            break
-    _check(res, f"product triangle = alternating |s| closed form (n<={N})", bad is None,
-           f"first counterexample n={bad}" if bad else "")
-
     bells = exact.bell_numbers(N + 1)
     arima = exact.arima_rows(N)
-    bad_l = [n for n in range(1, N + 1) if sum(arima.row(n)) != bells[n + 1]]
-    _check(res, f"arima row sums equal B_(n+1) (n<={N})", not bad_l,
-           f"first counterexample n={bad_l[0]}" if bad_l else "")
-
     tb = tilde_bell_exact(N)
-    bad_l = [n for n in range(1, N + 1)
-             if sum(math.comb(n, k) * bells[k] * bells[n - k] for k in range(n + 1)) != tb[n]]
-    _check(res, f"balanced convolution totals equal Poisson(2) moments (n<={N})",
-           not bad_l, f"first counterexample n={bad_l[0]}" if bad_l else "")
-
     beta = exact.beta_numbers(N)
-    bad_l = []
-    for n in range(2, N + 1):
-        t = variant_triangle(n, "A124323")
-        if t.weights[0] != beta[n]:
-            bad_l.append(n)
-        if n >= 4:
-            t2 = variant_triangle(n, "A086659")
-            if list(t2.weights) != list(t.weights[:-1]) or t.weights[-1] != 1:
-                bad_l.append(n)
-    _check(res, f"singleton-marker triangles (k=0 column, unit-mass removal, n<={N})",
-           not bad_l, f"first counterexample n={bad_l[0]}" if bad_l else "")
-
     cap = min(N, 40)
-    bad_t = None
-    for n in range(4, cap + 1):
-        pmf = FAMILIES["matsunaga"].build(n)
-        if matsunaga_closed_moments(n) != moments_exact(pmf):
-            bad_t = ("matsunaga", n)
-            break
-        wpmf = FAMILIES["weighted-matsunaga"].build(n)
-        if weighted_matsunaga_closed_mean(n) != moments_exact(wpmf)[0]:
-            bad_t = ("weighted-matsunaga", n)
-            break
-        apmf = FAMILIES["arima"].build(n)
-        if arima_exact_moments(n) != moments_exact(apmf):
-            bad_t = ("arima", n)
-            break
-        bpmf = FAMILIES["a033306"].build(n)
-        if a033306_exact_moments(n) != moments_exact(bpmf):
-            bad_t = ("a033306", n)
-            break
-    _check(res, f"two-route moments (closed forms = direct, 4<=n<={cap})", bad_t is None,
-           f"first counterexample {bad_t}" if bad_t else "")
-    return res
+
+    def alternating(n: int) -> list[int]:
+        return [n**k * sum((-1) ** (k - j) * s.entry(n + 1, j + 1) for j in range(k + 1))
+                for k in range(n)]
+
+    def singleton_marker(n: int) -> bool:
+        t = variant_triangle(n, "A124323")
+        return t.weights[0] == beta[n] and (
+            n < 4 or (list(variant_triangle(n, "A086659").weights) == list(t.weights[:-1])
+                      and t.weights[-1] == 1))
+
+    # each closed form against the moments summed over the family's support
+    two_route = {
+        "matsunaga": lambda n: matsunaga_closed_moments(n)
+        == moments_exact(FAMILIES["matsunaga"].build(n)),
+        "weighted-matsunaga": lambda n: weighted_matsunaga_closed_mean(n)
+        == moments_exact(FAMILIES["weighted-matsunaga"].build(n))[0],
+        "arima": lambda n: arima_exact_moments(n) == moments_exact(FAMILIES["arima"].build(n)),
+        "a033306": lambda n: a033306_exact_moments(n)
+        == moments_exact(FAMILIES["a033306"].build(n)),
+    }
+    return [
+        Check(f"product triangle = |s| * (n+1)^k closed form (n<={N})", range(2, N + 1),
+              lambda n: list(variant_triangle(n, "A220883").weights)
+              == [s.entry(n, k + 1) * (n + 1) ** k for k in range(n)]),
+        Check(f"product triangle = alternating |s| closed form (n<={N})", range(2, N + 1),
+              lambda n: list(variant_triangle(n, "A260887").weights) == alternating(n)),
+        Check(f"arima row sums equal B_(n+1) (n<={N})", range(1, N + 1),
+              lambda n: sum(arima.row(n)) == bells[n + 1]),
+        Check(f"balanced convolution totals equal Poisson(2) moments (n<={N})",
+              range(1, N + 1),
+              lambda n: sum(math.comb(n, k) * bells[k] * bells[n - k] for k in range(n + 1))
+              == tb[n]),
+        Check(f"singleton-marker triangles (k=0 column, unit-mass removal, n<={N})",
+              range(2, N + 1), singleton_marker),
+        Check(f"two-route moments (closed forms = direct, 4<=n<={cap})",
+              ((family, n) for n in range(4, cap + 1) for family in two_route),
+              lambda point: two_route[point[0]](point[1]), "first counterexample "),
+    ]
+
+
+SUITES: dict[str, Callable[[int], list[Check]]] = {
+    "identities": _identities,
+    "oracle": _oracle,
+    "variants": _variants,
+}
+VERIFY_SUITES = (*SUITES, "all")
 
 
 def cmd_verify(args: argparse.Namespace) -> tuple[int, str]:
@@ -405,18 +349,18 @@ def cmd_verify(args: argparse.Namespace) -> tuple[int, str]:
     if suite not in VERIFY_SUITES:
         raise UsageError(f"unknown suite {suite!r}; choose from {', '.join(VERIFY_SUITES)}")
     _check_cap(args, N, VERIFY_CAP)
-    results: list[tuple[str, str, str]] = []
-    if suite in ("identities", "all"):
-        results += _suite_identities(N)
-    if suite in ("oracle", "all"):
-        results += _suite_oracle(min(N, partitions.STATS_CAP) if suite == "all" else N)
-    if suite in ("variants", "all"):
-        results += _suite_variants(N)
     lines = []
-    for status, name, detail in results:
-        lines.append(f"{status}: {name}" + (f" [{detail}]" if detail else ""))
-    n_fail = sum(1 for st, _, _ in results if st == "FAIL")
-    lines.append(f"{len(results)} checks, {n_fail} failures")
+    n_fail = 0
+    for name, build in SUITES.items():
+        if suite not in (name, "all"):
+            continue
+        # `all` runs the oracle only as far as it enumerates
+        size = min(N, partitions.STATS_CAP) if (name, suite) == ("oracle", "all") else N
+        for check in build(size):
+            status, detail = _run(check)
+            n_fail += status == "FAIL"
+            lines.append(f"{status}: {check.name}" + (f" [{detail}]" if detail else ""))
+    lines.append(f"{len(lines)} checks, {n_fail} failures")
     return (1 if n_fail else 0), "\n".join(lines) + "\n"
 
 
@@ -569,11 +513,7 @@ def bench_matsunaga_procedure(n: int) -> tuple[int, int]:
 
 def bench_arima_procedure(n: int) -> tuple[int, int]:
     table = exact.b_table_rows(n)
-    bits = 0
-    total = 0
-    for _, _, v in table.items():
-        if v.bit_length() > bits:
-            bits = v.bit_length()
+    bits = max(v.bit_length() for _, _, v in table.items())
     total = sum(table.row(n))
     return total, max(bits, total.bit_length())
 

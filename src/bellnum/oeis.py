@@ -13,7 +13,8 @@ lines up with this package's row conventions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from itertools import chain, islice
+from typing import Callable, Iterable, Sequence
 
 from .exact import (
     arima_rows,
@@ -81,39 +82,40 @@ class SequenceSpec:
     aliases: tuple[str, ...] = ()
 
 
-def _row_major(row_of: Callable[[int], Sequence[int]], start_n: int) -> Callable[[int], list[int]]:
-    """Linear generator that concatenates rows start_n, start_n+1, ..."""
+def _row_major(rows: Callable[[int], Iterable[Sequence[int]]]) -> Callable[[int], list[int]]:
+    """Linear generator over the rows of one triangle.  ``rows(N)`` yields
+    at least N rows in order, the i-th holding at least i entries, so the
+    least N with N(N+1)/2 >= count covers a request; it is called once
+    per request."""
 
     def gen(count: int) -> list[int]:
-        out: list[int] = []
-        n = start_n - 1
-        while len(out) < count:
-            n += 1
-            out.extend(row_of(n))
-        return out[:count]
+        N = 1
+        while N * (N + 1) // 2 < count:
+            N += 1
+        return list(islice(chain.from_iterable(rows(N)), count))
 
     return gen
 
 
-_stirling_linear = _row_major(lambda n: stirling_signed_rows(n).row(n), 1)
-_matsunaga_linear = _row_major(lambda n: matsunaga_rows(n).row(n), 1)
-_b_table_linear = _row_major(lambda n: b_table_rows(n).row(n), 1)
-_arima_no_first_column_linear = _row_major(lambda n: arima_rows(n).row(n)[1:], 1)
+def _arima_rows_from_zero(N: int) -> tuple[tuple[int, ...], ...]:
+    return ((1,), *arima_rows(N).rows)
 
 
-def _arima_row(n: int) -> Sequence[int]:
-    return (1,) if n == 0 else arima_rows(n).row(n)
-
-
-_arima_linear = _row_major(_arima_row, 0)
-_arima_reversed_linear = _row_major(lambda n: tuple(reversed(_arima_row(n))), 0)
+_stirling_linear = _row_major(lambda N: stirling_signed_rows(N).rows)
+_matsunaga_linear = _row_major(lambda N: matsunaga_rows(N).rows)
+_b_table_linear = _row_major(lambda N: b_table_rows(N).rows)
+_arima_no_first_column_linear = _row_major(lambda N: (r[1:] for r in arima_rows(N).rows))
+_arima_linear = _row_major(_arima_rows_from_zero)
+_arima_reversed_linear = _row_major(lambda N: (r[::-1] for r in _arima_rows_from_zero(N)))
 _a033306_linear = _row_major(
-    lambda n: (1,) if n == 0 else ((1, 1) if n == 1 else a033306_pmf(n).weights), 0
+    lambda N: chain([(1,), (1, 1)], (a033306_pmf(n).weights for n in range(2, N + 1)))
 )
 
 
 def _variant_linear(which: str, start_n: int) -> Callable[[int], list[int]]:
-    return _row_major(lambda n: variant_triangle(n, which).weights, start_n)
+    # the i-th row is row start_n + i - 1, which holds at least i entries
+    return _row_major(
+        lambda N: (variant_triangle(n, which).weights for n in range(start_n, start_n + N)))
 
 
 def _prefixed(first_rows: list[list[int]], rest: Callable[[int], list[int]]) -> Callable[[int], list[int]]:

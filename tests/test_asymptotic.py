@@ -240,6 +240,29 @@ class TestStirlingApprox:
                 else:
                     assert gap < 0.50, (n, k, gap)
 
+    @pytest.mark.parametrize("n, expected", [
+        (30, [(6, "small/central", 0.04973793252392378),
+              (7, "small/central", 0.03735420754556129),
+              (27, "central/large", 0.23917148111181596),
+              (28, "central/large", 0.07542170738915144)]),
+        (60, [(8, "small/central", 0.025327396774283306),
+              (9, "small/central", 0.11132916596828135),
+              (55, "central/large", 0.3471809882884873),
+              (56, "central/large", 0.20201784149825497)]),
+        (100, [(9, "small/central", 0.03370829146237719),
+               (10, "small/central", 0.10191007930662299),
+               (94, "central/large", 0.2860668939244575),
+               (95, "central/large", 0.18519669705250363)]),
+        (200, [(10, "small/central", 0.023034594389257146),
+               (11, "small/central", 0.06992490902423087),
+               (192, "central/large", 0.24529580651159044),
+               (193, "central/large", 0.17964194156740287)]),
+    ])
+    def test_regime_overlap_values_pinned(self, n, expected):
+        # the overlap check evaluates the same regime formulas as
+        # stirling_asym, so its floats are exact, not approximate
+        assert asy.stirling_overlap_check(n) == expected
+
 
 class TestSaddleSolvers:
     def test_beta_saddle_residual(self):

@@ -103,14 +103,46 @@ class TestVerify:
     def test_unknown_suite(self, capsys):
         assert run(capsys, "verify", "nothing", "5")[0] == 2
 
+    @pytest.mark.parametrize("suite, n, skipped", [
+        ("identities", "3", [
+            "skip: closed P_n(v) equals direct P_n(v) on rational grid",
+            "skip: P_n(1)/n! alternating-Bell corollary (4<=n<=3)",
+        ]),
+        ("variants", "1", [
+            "skip: product triangle = |s| * (n+1)^k closed form (n<=1)",
+            "skip: product triangle = alternating |s| closed form (n<=1)",
+            "skip: singleton-marker triangles (k=0 column, unit-mass removal, n<=1)",
+            "skip: two-route moments (closed forms = direct, 4<=n<=1)",
+        ]),
+    ])
+    def test_empty_range_is_skip(self, capsys, suite, n, skipped):
+        # a check with no point to test passes nothing: it says skip, not
+        # ok, and counts as a check but not as a failure
+        code, out = run(capsys, "verify", suite, n)
+        assert code == 0
+        assert [line for line in out.splitlines() if line.startswith("skip")] == skipped
+        assert out.endswith(" checks, 0 failures\n")
+
+    def test_runner_stops_at_first_counterexample(self):
+        import bellnum.cli as cli
+
+        def domain():
+            yield from (1, 2, 3)
+            raise AssertionError("walked past the first counterexample")
+
+        assert cli._run(cli.Check("c", domain(), lambda n: n < 3)) == (
+            "FAIL", "first counterexample n=3")
+        assert cli._run(cli.Check("c", range(3), lambda n: True, note="seen")) == ("ok", "seen")
+        assert cli._run(cli.Check("c", range(0), lambda n: False, note="seen")) == ("skip", "")
+
     def test_any_failure_flips_exit_code(self, capsys, monkeypatch):
         # exit status must be nonzero iff a check fails: inject a fault
         import bellnum.cli as cli
 
         def broken(N):
-            return [("FAIL", "injected check", "witness (n,k)=(1,1)")]
+            return [cli.Check("injected check", [(1, 1)], lambda nk: False, "witness (n,k)=")]
 
-        monkeypatch.setattr(cli, "_suite_identities", broken)
+        monkeypatch.setitem(cli.SUITES, "identities", broken)
         code, out = run(capsys, "verify", "identities", "5")
         assert code == 1
         assert "FAIL: injected check" in out
@@ -254,8 +286,8 @@ class TestCaps:
             monkeypatch.setitem(cli.FAMILIES, name, dataclasses.replace(fam, build=refuse))
         for name in ("bell_numbers", "beta_numbers", "_stirling_rows"):
             monkeypatch.setattr(exact, name, refuse)
-        monkeypatch.setattr(cli, "_suite_identities", refuse)
-        monkeypatch.setattr(cli, "_suite_variants", refuse)
+        for name in cli.SUITES:
+            monkeypatch.setitem(cli.SUITES, name, refuse)
 
     @pytest.mark.parametrize("argv, n, cap", [
         (["llt", "matsunaga", "5000"], 5000, 1000),
@@ -463,3 +495,116 @@ class TestVerifyIndependence:
         assert line == "FAIL: splitting B_n = beta_(n+1) + beta_n (n<=12) [first counterexample n=6]"
         assert self._line(capsys, "alternating Bell sums")[1].startswith("FAIL")
         assert self._line(capsys, "procedure equivalence")[1].startswith("FAIL")
+
+
+class TestVerifyFailLines:
+    """One FAIL line per witness form, pinned byte for byte: a fault put
+    into one route shows as that check's first counterexample, and in no
+    other check."""
+
+    @pytest.fixture(autouse=True)
+    def fresh(self):
+        exact._reset()
+        yield
+        exact._reset()
+
+    @staticmethod
+    def off_at(monkeypatch, module, name, bad, fault):
+        real = getattr(module, name)
+
+        def patched(*args):
+            value = real(*args)
+            return fault(value) if args == bad else value
+
+        monkeypatch.setattr(module, name, patched)
+
+    @staticmethod
+    def stats_off_at(monkeypatch, n, **fields):
+        import dataclasses
+
+        from bellnum import partitions
+
+        real = partitions.collect_stats
+
+        def patched(m):
+            st = real(m)
+            if m != n:
+                return st
+            return dataclasses.replace(st, **{k: f(getattr(st, k)) for k, f in fields.items()})
+
+        monkeypatch.setattr(partitions, "collect_stats", patched)
+
+    def fail_lines(self, capsys, suite, n):
+        code, out = run(capsys, "verify", suite, str(n))
+        assert code == 1
+        return [line for line in out.splitlines() if line.startswith("FAIL")]
+
+    def test_first_counterexample_n(self, capsys, monkeypatch):
+        self.off_at(monkeypatch, exact, "bell_via_shapes", (5,), lambda v: v + 1)
+        assert self.fail_lines(capsys, "identities", 12) == [
+            "FAIL: procedure equivalence (Horner = recurrence = shapes, n<=12) "
+            "[first counterexample n=5]"]
+
+    def test_first_counterexample_n_in_variants(self, capsys, monkeypatch):
+        import bellnum.cli as cli
+
+        real = cli.tilde_bell_exact
+        monkeypatch.setattr(cli, "tilde_bell_exact",
+                            lambda n: [v + (i == 3) for i, v in enumerate(real(n))])
+        assert self.fail_lines(capsys, "variants", 6) == [
+            "FAIL: balanced convolution totals equal Poisson(2) moments (n<=6) "
+            "[first counterexample n=3]"]
+
+    def test_first_counterexample_nk(self, capsys, monkeypatch):
+        self.off_at(monkeypatch, exact, "matsunaga_via_sum", (4, 2), lambda v: v + 1)
+        assert self.fail_lines(capsys, "identities", 12) == [
+            "FAIL: sum form equals recurrence triangle (n<=12) "
+            "[first counterexample (n,k)=(4, 2)]"]
+
+    def test_first_counterexample_nv(self, capsys, monkeypatch):
+        from fractions import Fraction
+
+        self.off_at(monkeypatch, exact, "pnv_closed", (5, Fraction(-1, 2)), lambda v: v + 1)
+        assert self.fail_lines(capsys, "identities", 12) == [
+            "FAIL: closed P_n(v) equals direct P_n(v) on rational grid "
+            "[first counterexample (n,v)=(5, Fraction(-1, 2))]"]
+
+    @pytest.mark.parametrize("bad, witness", [
+        # the one documented sign exception, taken away
+        ((3,), "(3, 1)"),
+        ((5,), "(5, 2)"),
+    ])
+    def test_violated_at_nk(self, capsys, monkeypatch, bad, witness):
+        def fault(row):
+            k = 0 if bad == (3,) else 1
+            return [-v if i == k else v for i, v in enumerate(row)]
+
+        self.off_at(monkeypatch, exact, "abs_matsunaga_row", bad, fault)
+        assert self.fail_lines(capsys, "identities", 12) == [
+            "FAIL: alternating |M| formula, exception exactly (3,1) (n<=12) "
+            f"[violated at (n,k)={witness}]"]
+
+    def test_got(self, capsys, monkeypatch):
+        self.stats_off_at(monkeypatch, 3, total=lambda t: t + 1)
+        assert self.fail_lines(capsys, "oracle", 4) == [
+            "FAIL: enumeration total at n=3 equals B_3=5 [got 6]"]
+
+    def test_bad_shape(self, capsys, monkeypatch):
+        bad = exact.PartitionShape(counts=((1, 1), (2, 1)))
+        self.off_at(monkeypatch, exact, "bell_polynomial_coefficient", (bad,), lambda v: v + 1)
+        assert self.fail_lines(capsys, "oracle", 4) == [
+            "FAIL: shape counts at n=3 equal multinomial coefficients "
+            "[bad shape PartitionShape(counts=((1, 1), (2, 1)))]"]
+
+    def test_first_bad_k(self, capsys, monkeypatch):
+        self.stats_off_at(monkeypatch, 4, singleton_count_hist=lambda h: h[:2] + (h[2] + 1,) + h[3:])
+        assert self.fail_lines(capsys, "oracle", 4) == [
+            "FAIL: singleton-count histogram at n=4 [first bad k=2]"]
+
+    def test_two_route_tuple(self, capsys, monkeypatch):
+        import bellnum.cli as cli
+
+        self.off_at(monkeypatch, cli, "weighted_matsunaga_closed_mean", (5,), lambda v: v + 1)
+        assert self.fail_lines(capsys, "variants", 6) == [
+            "FAIL: two-route moments (closed forms = direct, 4<=n<=6) "
+            "[first counterexample ('weighted-matsunaga', 5)]"]

@@ -7,7 +7,7 @@ rows), so a match genuinely ties the code to external data.
 
 import pytest
 
-from bellnum import oeis
+from bellnum import exact, oeis
 
 BETA_PUBLISHED = [1, 0, 1, 1, 4, 11, 41, 162, 715, 3425, 17722, 98253, 580317]
 BELL_PUBLISHED = [1, 1, 2, 5, 15, 52, 203, 877, 4140]
@@ -98,3 +98,39 @@ class TestChecking:
             text = lines(values, start=spec.first_index)
             r = oeis.check_bfile(key, text)
             assert r.ok and r.compared == 25, spec.oeis_id
+
+
+class TestRowMajorReaders:
+    """Each triangle reader builds its triangle once per request and reads
+    it row by row, across row boundaries, in the triangle's own order."""
+
+    # (registry key, builder in oeis, flattened reference of rows 1..10 or 0..9)
+    @pytest.mark.parametrize("key, builder, flat", [
+        ("stirling", "stirling_signed_rows",
+         lambda: [v for row in exact.stirling_signed_rows(10).rows for v in row]),
+        ("matsunaga", "matsunaga_rows",
+         lambda: [v for row in exact.matsunaga_rows(10).rows for v in row]),
+        ("b-table", "b_table_rows",
+         lambda: [v for row in exact.b_table_rows(10).rows for v in row]),
+        ("a175757", "arima_rows",
+         lambda: [v for row in exact.arima_rows(10).rows for v in row[1:]]),
+        ("arima", "arima_rows",
+         lambda: [1] + [v for row in exact.arima_rows(9).rows for v in row]),
+        ("arima-reversed", "arima_rows",
+         lambda: [1] + [v for row in exact.arima_rows(9).rows for v in reversed(row)]),
+    ])
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_values_at_a_row_boundary(self, monkeypatch, key, builder, flat, offset):
+        reference = flat()
+        # rows 1..9 (or 0..8) end at 45 terms
+        count = 45 + offset
+        real = getattr(oeis, builder)
+        calls = []
+
+        def counted(N):
+            calls.append(N)
+            return real(N)
+
+        monkeypatch.setattr(oeis, builder, counted)
+        assert oeis.REGISTRY[key].values(count) == reference[:count]
+        assert len(calls) == 1
