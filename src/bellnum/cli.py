@@ -1,10 +1,10 @@
 """Command-line interface.
 
 Subcommands: table, verify, asym, llt, bench, oeis-check, genjiko.
-Exit codes: 0 success, 1 verification failure, 2 usage error, 3 input
-or parse error.  Output is deterministic byte-for-byte between runs
-(bench wall-clock times are the one documented exception); CSV is
-emitted with a header row, full-decimal integers, UTF-8 and LF endings.
+Exit codes: 0 success, 1 verification failure, 2 usage error or an
+unwritable --out, 3 input or parse error.  Output is byte-for-byte
+deterministic (bench wall times excepted); text and CSV stream row by
+row, CSV with a header row, full-decimal integers, UTF-8, LF endings.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import sys
 import time
 from dataclasses import dataclass
@@ -86,33 +87,40 @@ def _rat(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(x.numerator)
 
 
-def _csv(header: list[str], rows: list[list[object]]) -> str:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(str(c) for c in row))
-    return "\n".join(lines) + "\n"
+def _width(head: str, cells: list[object]) -> int:
+    # the widest cell of a column of ints is its min or its max
+    if cells and all(type(c) is int for c in cells):
+        cells = [min(cells), max(cells)]
+    return max(len(str(c)) for c in [head, *cells])
 
 
-def _json_doc(doc: object) -> str:
-    return json.dumps(doc, indent=2) + "\n"
-
-
-def _text_table(header: list[str], rows: list[list[object]]) -> str:
-    cells = [header] + [[str(c) for c in row] for row in rows]
-    widths = [max(len(r[i]) for r in cells) for i in range(len(header))]
-    out = []
-    for r in cells:
-        out.append("  ".join(c.rjust(w) for c, w in zip(r, widths)))
-    return "\n".join(out) + "\n"
-
-
-def _render(fmt: str, header: list[str], rows: list[list[object]], name: str) -> str:
-    if fmt == "csv":
-        return _csv(header, rows)
+def _render(fmt: str, header: list[str], rows: list[list[object]] | exact.TriangleTable,
+            name: str) -> Iterator[str]:
+    """The one table renderer, lazy.  ``rows`` is a list of rows, or a
+    TriangleTable read as (n, k, value) rows.  JSON is one document; text
+    and CSV are one chunk per triangle row, or one chunk for a list.  Text
+    columns are right-aligned to their widest cell."""
+    tri = isinstance(rows, exact.TriangleTable)
     if fmt == "json":
-        return _json_doc({"name": name, "columns": header,
-                          "rows": [dict(zip(header, r)) for r in rows]})
-    return _text_table(header, rows)
+        doc = {"name": name, "columns": header,
+               "rows": [dict(zip(header, r)) for r in (rows.items() if tri else rows)]}
+        yield json.dumps(doc, indent=2) + "\n"
+        return
+    if tri:
+        ns = [n for n, r in enumerate(rows.rows, rows.n_min) if r]
+        # the k column runs from k_min to the last row's n
+        cols = [ns, [rows.k_min, ns[-1]] if ns else [],
+                [f(r) for r in rows.rows if r for f in (min, max)]]
+    else:
+        cols = [[row[i] for row in rows] for i in range(len(header))]
+    line = (",".join(["{}"] * len(header)) if fmt == "csv" else
+            "  ".join(f"{{:>{_width(h, c)}}}" for h, c in zip(header, cols))) + "\n"
+    yield line.format(*header)
+    if not tri:
+        yield "".join([line.format(*map(str, row)) for row in rows])
+        return
+    for n, r in enumerate(rows.rows, rows.n_min):
+        yield "".join([line.format(n, k, v) for k, v in enumerate(r, rows.k_min)])
 
 
 def _check_cap(args: argparse.Namespace, N: int, default: int) -> None:
@@ -124,26 +132,18 @@ def _check_cap(args: argparse.Namespace, N: int, default: int) -> None:
 # ----------------------------------------------------------------- table
 
 
-def cmd_table(args: argparse.Namespace) -> tuple[int, str]:
+def cmd_table(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
     seq = args.sequence
     N = args.N
     if seq not in TABLE_SEQUENCES:
         raise UsageError(f"unknown sequence {seq!r}; choose from {', '.join(TABLE_SEQUENCES)}")
     _check_cap(args, N, TABLE_CAP)
-    if seq in ("bell", "beta", "pn-at-n"):
-        if seq == "bell":
-            values = exact.bell_numbers(N)
-            rows = [[n, v] for n, v in enumerate(values)]
-        elif seq == "beta":
-            values = exact.beta_numbers(N)
-            rows = [[n, v] for n, v in enumerate(values)]
-        else:
-            if N < 1:
-                raise UsageError("pn-at-n needs N >= 1")
-            values, _ = exact.pn_at_n(N)
-            rows = [[n, v] for n, v in enumerate(values)][1:]
-        return 0, _render(args.format, ["n", "value"], rows, seq)
+    if seq == "pn-at-n" and N < 1:
+        raise UsageError("pn-at-n needs N >= 1")
     builders = {
+        "bell": exact.bell_numbers,
+        "beta": exact.beta_numbers,
+        "pn-at-n": lambda N: exact.pn_at_n(N)[0],
         "stirling": exact.stirling_signed_rows,
         "matsunaga": exact.matsunaga_rows,
         "weighted-matsunaga": exact.weighted_matsunaga_rows,
@@ -154,8 +154,10 @@ def cmd_table(args: argparse.Namespace) -> tuple[int, str]:
         table = builders[seq](N)
     except ValueError as e:
         raise UsageError(str(e)) from None
-    rows = [[n, k, v] for n, k, v in table.items()]
-    return 0, _render(args.format, ["n", "k", "value"], rows, seq)
+    if isinstance(table, exact.TriangleTable):
+        return 0, _render(args.format, ["n", "k", "value"], table, seq)
+    rows = [[n, v] for n, v in enumerate(table)][seq == "pn-at-n":]  # P_n(n) starts at n = 1
+    return 0, _render(args.format, ["n", "value"], rows, seq)
 
 
 # ---------------------------------------------------------------- verify
@@ -343,7 +345,7 @@ SUITES: dict[str, Callable[[int], list[Check]]] = {
 VERIFY_SUITES = (*SUITES, "all")
 
 
-def cmd_verify(args: argparse.Namespace) -> tuple[int, str]:
+def cmd_verify(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
     suite = args.suite
     N = args.N
     if suite not in VERIFY_SUITES:
@@ -361,7 +363,7 @@ def cmd_verify(args: argparse.Namespace) -> tuple[int, str]:
             n_fail += status == "FAIL"
             lines.append(f"{status}: {check.name}" + (f" [{detail}]" if detail else ""))
     lines.append(f"{len(lines)} checks, {n_fail} failures")
-    return (1 if n_fail else 0), "\n".join(lines) + "\n"
+    return (1 if n_fail else 0), ["\n".join(lines) + "\n"]
 
 
 # ------------------------------------------------------------------ asym
@@ -386,7 +388,7 @@ def _stirling_points(ladder: list[int]) -> dict[int, dict[int, int]]:
             for n, row in enumerate(exact._stirling_rows(max(ladder)), start=1) if n in ks}
 
 
-def cmd_asym(args: argparse.Namespace) -> tuple[int, str]:
+def cmd_asym(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
     target = args.target
     if target not in ASYM_TARGETS:
         raise UsageError(f"unknown target {target!r}; choose from {', '.join(ASYM_TARGETS)}")
@@ -456,7 +458,7 @@ def cmd_asym(args: argparse.Namespace) -> tuple[int, str]:
 # ------------------------------------------------------------------- llt
 
 
-def cmd_llt(args: argparse.Namespace) -> tuple[int, str]:
+def cmd_llt(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
     family = args.family
     if family not in FAMILIES:
         raise UsageError(f"unknown family {family!r}; choose from {', '.join(sorted(FAMILIES))}")
@@ -484,12 +486,12 @@ def cmd_llt(args: argparse.Namespace) -> tuple[int, str]:
             f"{rep.sup_deviation:.6e}",
             rep.rate_tag,
         ])
-    out = _render(args.format,
-                  ["n", "mean_exact", "var_exact", "mu_asym", "sigma2_asym",
-                   "sup_deviation", "rate_tag"],
-                  rows, f"llt-{family}")
+    out = [*_render(args.format,
+                    ["n", "mean_exact", "var_exact", "mu_asym", "sigma2_asym",
+                     "sup_deviation", "rate_tag"],
+                    rows, f"llt-{family}")]
     if args.format == "text" and len(set(ladder)) >= 2:
-        out += f"empirical decay exponent: {decay_exponent(ladder, sups):+.3f}\n"
+        out.append(f"empirical decay exponent: {decay_exponent(ladder, sups):+.3f}\n")
     return 0, out
 
 
@@ -518,7 +520,7 @@ def bench_arima_procedure(n: int) -> tuple[int, int]:
     return total, max(bits, total.bit_length())
 
 
-def cmd_bench(args: argparse.Namespace) -> tuple[int, str]:
+def cmd_bench(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
     N = args.N
     if N < 2:
         raise UsageError("bench needs N >= 2")
@@ -547,7 +549,7 @@ def cmd_bench(args: argparse.Namespace) -> tuple[int, str]:
             records[proc] = BenchRecord(n, proc, best, bits, result)
         if "matsunaga" in records and "arima" in records:
             if records["matsunaga"].result != records["arima"].result:
-                return 1, f"procedures disagree at n={n}\n"
+                return 1, [f"procedures disagree at n={n}\n"]
             ratio = records["matsunaga"].max_intermediate_bits / records["arima"].max_intermediate_bits
         else:
             ratio = float("nan")
@@ -563,7 +565,7 @@ def cmd_bench(args: argparse.Namespace) -> tuple[int, str]:
 # ------------------------------------------------------------ oeis-check
 
 
-def cmd_oeis_check(args: argparse.Namespace) -> tuple[int, str]:
+def cmd_oeis_check(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
     if args.sequence.lower() not in REGISTRY:
         raise UsageError(f"unknown sequence {args.sequence!r}")
     try:
@@ -575,23 +577,23 @@ def cmd_oeis_check(args: argparse.Namespace) -> tuple[int, str]:
     result = check_bfile(args.sequence, text, max_terms=cap)
     if result.first_mismatch is not None:
         e = result.first_mismatch
-        return 1, (f"MISMATCH for {result.sequence} at index {e.index}: "
-                   f"file has {e.value}, computed {result.expected}\n")
+        return 1, [f"MISMATCH for {result.sequence} at index {e.index}: "
+                   f"file has {e.value}, computed {result.expected}\n"]
     if result.compared == 0:
-        return 1, f"no comparable entries for {result.sequence}\n"
-    return 0, f"match: {result.compared} values of {result.sequence}\n"
+        return 1, [f"no comparable entries for {result.sequence}\n"]
+    return 0, [f"match: {result.compared} values of {result.sequence}\n"]
 
 
 # --------------------------------------------------------------- genjiko
 
 
-def cmd_genjiko(args: argparse.Namespace) -> tuple[int, str]:
+def cmd_genjiko(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
     pats = partitions.genjiko_patterns()
     lines = [f"{len(pats)} patterns"]
     for i, blocks in enumerate(pats, start=1):
         groups = " ".join("{" + ",".join(str(p) for p in b) + "}" for b in blocks)
         lines.append(f"{i:2d}: {groups}")
-    return 0, "\n".join(lines) + "\n"
+    return 0, ["\n".join(lines) + "\n"]
 
 
 # ------------------------------------------------------------------ main
@@ -672,7 +674,7 @@ def _main(argv: list[str] | None) -> int:
     except SystemExit as e:
         return 0 if e.code in (0, None) else 2
     try:
-        code, output = args.func(args)
+        code, chunks = args.func(args)
     except UsageError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
@@ -687,12 +689,21 @@ def _main(argv: list[str] | None) -> int:
         # e.g. saddle solver non-convergence: reported, never silent
         print(f"computation failed: {e}", file=sys.stderr)
         return 1
-    out_path = getattr(args, "out", None)
-    if out_path:
-        with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(output)
-    else:
-        sys.stdout.write(output)
+    # the file is opened only now, so a refused command leaves none behind
+    try:
+        if args.out:
+            with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
+                fh.writelines(chunks)
+        else:
+            sys.stdout.writelines(chunks)
+            sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader has gone: what is still buffered goes to devnull, so
+        # the interpreter's flush at exit reports nothing either
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    except OSError as e:
+        print(f"error: cannot write {args.out or 'stdout'}: {e.strerror}", file=sys.stderr)
+        return 2
     return code
 
 

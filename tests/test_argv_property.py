@@ -1,8 +1,9 @@
 """Generated argv: every command line ends in a documented exit code.
 
 Subcommand x target x small, negative or garbage sizes and ladders x
-format. Whatever the arguments, ``main`` returns 0, 1, 2 or 3 and never
-lets an exception (a traceback) escape. Sizes stay small, so no example
+format x ``--out``. Whatever the arguments, ``main`` returns 0, 1, 2 or 3
+and never lets an exception (a traceback) escape, and a command refused
+with 2 or 3 leaves no output file. Sizes stay small, so no example
 starts heavy work.
 """
 
@@ -25,6 +26,8 @@ FORMAT = st.one_of(
     st.just([]),
     st.sampled_from(["text", "csv", "json", "xml", ""]).map(lambda f: ["--format", f]),
 )
+# no --out, a file in a directory that exists, a file under a missing one
+OUT = st.sampled_from([None, "out.txt", "missing/out.txt"])
 MAX_N = st.one_of(st.just([]), st.integers(-2, 50).map(lambda c: ["--max-n", str(c)]),
                   st.just(["--max-n", "big"]))
 
@@ -38,6 +41,11 @@ def bfile(tmp_path_factory):
     path = tmp_path_factory.mktemp("argv") / "b.txt"
     path.write_text("# two good lines and a bad one\n0 1\n1 1\n2 x\n", encoding="utf-8")
     return str(path)
+
+
+@pytest.fixture(scope="module")
+def out_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("out")
 
 
 @st.composite
@@ -66,11 +74,23 @@ def argv(draw):
 
 
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(argv())
-def test_exit_code_documented_and_no_traceback(bfile, args):
+@given(argv(), OUT)
+def test_exit_code_documented_and_no_traceback(bfile, out_dir, args, out_name):
     args = [a.replace("{bfile}", bfile) for a in args]
+    if out_name:
+        path = out_dir / out_name
+        path.unlink(missing_ok=True)
+        args += ["--out", str(path)]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(args)
     assert code in (0, 1, 2, 3), (args, code)
     assert "Traceback" not in err.getvalue()
+    if out_name is None:
+        return
+    if code in (2, 3):
+        assert not path.exists(), args
+    if out_name == "missing/out.txt":
+        assert code != 0, args
+    elif code == 0:
+        assert path.exists() and out.getvalue() == "", args

@@ -1,8 +1,11 @@
 """End-to-end CLI tests: rendered output, exit codes, determinism."""
 
+import io
 import json
 import math
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -79,6 +82,98 @@ class TestTable:
         code, out = run(capsys, "table", "bell", "2", "--format", "csv", "--out", str(path))
         assert code == 0 and out == ""
         assert path.read_bytes() == b"n,value\n0,1\n1,1\n2,2\n"
+
+
+class _Marker(int):
+    """An int that records when it is turned into text."""
+
+    rendered = False
+
+    def __str__(self):
+        _Marker.rendered = True
+        return int.__str__(self)
+
+    def __format__(self, spec):
+        _Marker.rendered = True
+        return int.__format__(self, spec)
+
+
+class _Discard(io.TextIOBase):
+    """A stdout that counts what it is given and keeps none of it; it
+    notes whether a _Marker had been rendered at the first write."""
+
+    def __init__(self):
+        self.chunks = self.size = 0
+        self.marker_rendered_at_first_write = None
+
+    def write(self, s):
+        if not self.chunks:
+            self.marker_rendered_at_first_write = _Marker.rendered
+        self.chunks += 1
+        self.size += len(s)
+        return len(s)
+
+
+class TestStreaming:
+    def test_text_triangle_streams_row_by_row(self, monkeypatch):
+        # a whole text table held as cells, lines and one string takes
+        # several times its length; streamed, about one row is live
+        import tracemalloc
+
+        t = exact.stirling_signed_rows(150)
+        last = t.rows[-1]
+        assert last[-1] == 1  # s(150,150): not a column extreme, so no width reads it
+        marked = exact.TriangleTable(t.name, t.n_min, t.k_min,
+                                     t.rows[:-1] + (last[:-1] + (_Marker(1),),))
+        monkeypatch.setattr(exact, "stirling_signed_rows", lambda N: marked)
+        monkeypatch.setattr(_Marker, "rendered", False)
+        sink = _Discard()
+        monkeypatch.setattr(sys, "stdout", sink)
+        tracemalloc.start()
+        try:
+            code = main(["table", "stirling", "150", "--format", "text"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert sink.chunks == 1 + 150  # the header, then one chunk per row
+        assert sink.size > 3_000_000
+        assert peak < sink.size
+        # the first chunk was written before the last row was rendered
+        assert sink.marker_rendered_at_first_write is False and _Marker.rendered
+
+    @pytest.mark.parametrize("fmt", ["text", "csv"])
+    def test_closed_pipe_exits_quietly(self, fmt):
+        src = str(Path(exact.__file__).parents[1])
+        code = ("import sys; sys.path.insert(0, %r); from bellnum.cli import main; "
+                "sys.exit(main(sys.argv[1:]))" % src)
+        # megabytes of output against a 64 kB pipe: the writer meets the
+        # closed end long before it is done
+        with subprocess.Popen([sys.executable, "-c", code, "table", "stirling", "220",
+                               "--format", fmt],
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+            assert len(proc.stdout.read(100)) == 100
+            proc.stdout.close()
+            err = proc.stderr.read()
+        assert proc.returncode == 0
+        assert err == b""
+
+    def test_unwritable_out_is_one_line_and_exit_two(self, capsys, tmp_path):
+        path = tmp_path / "missing" / "x.txt"
+        code = main(["table", "bell", "5", "--out", str(path)])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: cannot write {path}: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv, expected", [
+        (["table", "nope", "5"], 2),
+        (["table", "bell", "501"], 2),
+        (["oeis-check", "bell", "no-such-b-file.txt"], 3),
+    ])
+    def test_refused_command_writes_no_file(self, capsys, tmp_path, argv, expected):
+        path = tmp_path / "out.txt"
+        assert main([*argv, "--out", str(path)]) == expected
+        assert not path.exists()
 
 
 class TestVerify:

@@ -54,6 +54,12 @@ def _matrix() -> list[list[str]]:
     fmts("table", "bell", "0")
     fmts("table", "beta", "1")
     m += [["table", "stirling", "0"], ["table", "bell", "30", "--max-n", "20"]]
+    # larger triangles: two-digit n and k columns, and value columns whose
+    # width is set by a minus sign
+    for seq in ("stirling", "matsunaga", "weighted-matsunaga", "arima", "b-table"):
+        for f in ("text", "csv"):
+            m.append(["table", seq, "40", "--format", f])
+    m.append(["table", "stirling", "60", "--format", "text"])
     for suite, n in (("identities", "14"), ("oracle", "6"), ("variants", "12"), ("all", "7")):
         fmts("verify", suite, n)
     m += [["verify", "identities", "3"], ["verify", "variants", "1"]]
