@@ -24,28 +24,20 @@ __all__ = [
     "SaddlePoint",
     "log_int",
     "lambert_w",
-    "lambert_w_shift",
-    "log_gamma",
     "digamma",
     "trigamma",
     "harmonic",
     "HARMONIC_EXACT_CAP",
     "beta_asym",
     "bell_asym",
-    "bell_times_factorial_log_asym",
     "tilde_bell_exact",
     "tilde_bell_asym",
     "stirling_regime",
     "stirling_asym",
-    "stirling_overlap_check",
     "phi",
     "tau_of_rho",
     "rho_of_tau",
     "beta_ratio_asym",
-    "beta_saddle_expansion",
-    "solve_beta_saddle",
-    "solve_bell_saddle",
-    "solve_arima_saddle",
     "solve_mw2_saddle",
 ]
 
@@ -109,23 +101,6 @@ def lambert_w(x: float, tol: float = 1e-12) -> float:
         if abs(w * math.exp(w) - x) <= tol * x:
             return w
     raise ArithmeticError(f"lambert_w did not converge for x={x!r}")
-
-
-def lambert_w_shift(n: float, t: float) -> float:
-    """First-order expansion ``W(n-t) ~ W(n) - W(n) t / (n (W(n)+1))``.
-
-    Uses W'(x) = W(x) / (x (W(x)+1)); the omitted terms are O(n^-2 t^2).
-    """
-    if n - t <= 0:
-        raise ValueError("requires n - t > 0")
-    w = lambert_w(n)
-    return w - w * t / (n * (w + 1.0))
-
-
-def log_gamma(x: float) -> float:
-    if x <= 0:
-        raise ValueError("log_gamma requires x > 0")
-    return math.lgamma(x)
 
 
 def digamma(x: float) -> float:
@@ -223,17 +198,6 @@ def bell_asym(n: int) -> ApproxValue:
     return ApproxValue(log_value=log_main + math.log(corr), error_order="O(n^-2 (log n)^2)")
 
 
-def bell_times_factorial_log_asym(n: int) -> float:
-    """Leading growth of ``log(B_n n!)``: ``2n log n - n log log n - n``.
-
-    This is the scale the Stirling-pipeline's intermediate sums reach
-    before the division by n! collapses them.
-    """
-    if n < 3:
-        raise ValueError("n must be >= 3")
-    return 2.0 * n * math.log(n) - n * math.log(math.log(n)) - n
-
-
 def tilde_bell_exact(N: int) -> list[int]:
     """Moments 0..N of a Poisson(2) variable (the doubled-EGF Bell
     analogue entering the balanced convolution's variance formula)."""
@@ -289,64 +253,6 @@ def _solve_increasing(f, df, target: float, x0: float, name: str,
     raise ArithmeticError(f"{name}: no convergence after {max_iter} iterations")
 
 
-def solve_beta_saddle(n: int) -> SaddlePoint:
-    """Root of ``r (e^r - 1) = n`` (saddle of the singleton-free EGF)."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return _solve_increasing(
-        lambda r: r * math.expm1(r),
-        lambda r: math.expm1(r) + r * math.exp(r),
-        float(n),
-        lambert_w(float(n)),
-        "beta saddle",
-    )
-
-
-def beta_saddle_expansion(n: int) -> float:
-    """Two-term expansion of the beta-saddle root around W(n):
-    ``w + w^2/(n(w+1)) - w^3(w^2-2)/(2n^2(w+1)^3)``.
-
-    Not used for solving (Newton is); kept as a convergence sanity
-    diagnostic against :func:`solve_beta_saddle`.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    w = lambert_w(float(n))
-    return w + w * w / (n * (w + 1.0)) - w**3 * (w * w - 2.0) / (2.0 * n * n * (w + 1.0) ** 3)
-
-
-def solve_bell_saddle(n: int) -> SaddlePoint:
-    """Root of ``r e^r = n``; coincides with W(n)."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return _solve_increasing(
-        lambda r: r * math.exp(r),
-        lambda r: math.exp(r) * (r + 1.0),
-        float(n),
-        lambert_w(float(n)),
-        "bell saddle",
-    )
-
-
-def solve_arima_saddle(n: int, v: float) -> SaddlePoint:
-    """Root of ``r e^r + v r = n`` for real v in [0, 1.5].
-
-    v = 0 degenerates to the Bell saddle r = W(n); v near 1 is the
-    deformation used for the binomial-weighted family.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if not 0.0 <= v <= 1.5:
-        raise ValueError("v must lie in [0, 1.5]")
-    return _solve_increasing(
-        lambda r: r * math.exp(r) + v * r,
-        lambda r: math.exp(r) * (r + 1.0) + v,
-        float(n),
-        lambert_w(float(n)),
-        "arima saddle",
-    )
-
-
 def solve_mw2_saddle(n: int, k: int) -> SaddlePoint:
     """Root of ``r (psi(n+r) - psi(r)) = k``, the saddle behind the
     central-regime approximation of unsigned Stirling numbers."""
@@ -380,28 +286,6 @@ def stirling_regime(n: int, k: int) -> str:
     return "central"
 
 
-def _log_stirling_small(n: int, k: int) -> float:
-    ln = math.log(n)
-    return (math.lgamma(n + 1.0) + (k - 1) * math.log(ln) - math.log(n)
-            - math.lgamma(1.0 + (k - 1) / ln) - math.lgamma(float(k)))
-
-
-def _log_stirling_large(n: int, k: int) -> float:
-    ell = n - k
-    return 2.0 * ell * math.log(n) - math.lgamma(ell + 1.0) - ell * math.log(2.0)
-
-
-def _log_stirling_central(n: int, k: int) -> tuple[float, SaddlePoint]:
-    sp = solve_mw2_saddle(n, k)
-    r = sp.root
-    V = k + r * r * (trigamma(n + r) - trigamma(r))
-    if V <= 0.0:
-        raise ArithmeticError(f"nonpositive variance factor V={V} at (n={n}, k={k})")
-    logv = (-k * math.log(r) + math.lgamma(n + r) - math.lgamma(r)
-            - 0.5 * math.log(2.0 * math.pi * V))
-    return logv, sp
-
-
 def stirling_asym(n: int, k: int) -> ApproxValue:
     """log |s(n,k)| by the regime-appropriate approximation.
 
@@ -411,35 +295,22 @@ def stirling_asym(n: int, k: int) -> ApproxValue:
     """
     regime = stirling_regime(n, k)
     if regime == "small_k":
-        return ApproxValue(log_value=_log_stirling_small(n, k),
-                           error_order="O(k (log n)^-2)", regime=regime)
+        ln = math.log(n)
+        logv = (math.lgamma(n + 1.0) + (k - 1) * math.log(ln) - math.log(n)
+                - math.lgamma(1.0 + (k - 1) / ln) - math.lgamma(float(k)))
+        return ApproxValue(log_value=logv, error_order="O(k (log n)^-2)", regime=regime)
     if regime == "large_k":
-        return ApproxValue(log_value=_log_stirling_large(n, k),
-                           error_order="O((l+1)^2 n^-1)", regime=regime)
-    logv, sp = _log_stirling_central(n, k)
+        ell = n - k
+        logv = 2.0 * ell * math.log(n) - math.lgamma(ell + 1.0) - ell * math.log(2.0)
+        return ApproxValue(log_value=logv, error_order="O((l+1)^2 n^-1)", regime=regime)
+    sp = solve_mw2_saddle(n, k)
+    r = sp.root
+    V = k + r * r * (trigamma(n + r) - trigamma(r))
+    if V <= 0.0:
+        raise ArithmeticError(f"nonpositive variance factor V={V} at (n={n}, k={k})")
+    logv = (-k * math.log(r) + math.lgamma(n + r) - math.lgamma(r)
+            - 0.5 * math.log(2.0 * math.pi * V))
     return ApproxValue(log_value=logv, error_order="O(V^-1)", regime=regime, saddle=sp)
-
-
-def stirling_overlap_check(n: int) -> list[tuple[int, str, float]]:
-    """Relative gap between adjacent Stirling approximations at the
-    dispatch boundaries: (k, boundary name, |ratio - 1|).
-
-    A soft diagnostic: the small/central boundary agrees well, while
-    the central/large one can gap by tens of percent at moderate n,
-    which is why it is reported rather than asserted.
-    """
-    if n < 8:
-        raise ValueError("overlap check needs n >= 8")
-    out = []
-    k_sc = int(2.0 * math.log(n))
-    for k in (k_sc, k_sc + 1):
-        gap = math.exp(_log_stirling_small(n, k) - _log_stirling_central(n, k)[0]) - 1.0
-        out.append((k, "small/central", abs(gap)))
-    k_cl = n - int(n**0.4)
-    for k in (k_cl, k_cl + 1):
-        gap = math.exp(_log_stirling_large(n, k) - _log_stirling_central(n, k)[0]) - 1.0
-        out.append((k, "central/large", abs(gap)))
-    return out
 
 
 def phi(rho: float) -> float:

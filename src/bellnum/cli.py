@@ -47,7 +47,7 @@ from .distributions import (
 )
 from .oeis import BFileParseError, check_bfile, REGISTRY
 
-__all__ = ["main", "build_parser", "bench_matsunaga_procedure", "bench_arima_procedure"]
+__all__ = ["main", "build_parser"]
 
 TABLE_CAP = 500
 VERIFY_CAP = 200
@@ -508,18 +508,6 @@ def _bench_ladder(N: int) -> list[int]:
     return sorted(set(ns))
 
 
-def bench_matsunaga_procedure(n: int) -> tuple[int, int]:
-    tr = exact.bell_matsunaga(n)
-    return tr.result, tr.max_bits
-
-
-def bench_arima_procedure(n: int) -> tuple[int, int]:
-    table = exact.b_table_rows(n)
-    bits = max(v.bit_length() for _, _, v in table.items())
-    total = sum(table.row(n))
-    return total, max(bits, total.bit_length())
-
-
 def cmd_bench(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
     N = args.N
     if N < 2:
@@ -534,8 +522,8 @@ def cmd_bench(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
     for n in _bench_ladder(N):
         records: dict[str, BenchRecord] = {}
         for proc, fn, cap in (
-            ("matsunaga", bench_matsunaga_procedure, BENCH_MATSUNAGA_CAP),
-            ("arima", bench_arima_procedure, arima_cap),
+            ("matsunaga", exact.bench_matsunaga_procedure, BENCH_MATSUNAGA_CAP),
+            ("arima", exact.bench_arima_procedure, arima_cap),
         ):
             if n > cap:
                 continue
@@ -573,6 +561,8 @@ def cmd_oeis_check(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
             text = fh.read()
     except OSError as e:
         raise BFileParseError(f"cannot read {args.bfile}: {e.strerror}", 0) from None
+    except UnicodeDecodeError as e:
+        raise BFileParseError(f"cannot decode {args.bfile} as UTF-8: {e.reason}", 0) from None
     cap = args.max_n if args.max_n is not None else 600
     result = check_bfile(args.sequence, text, max_terms=cap)
     if result.first_mismatch is not None:
@@ -674,6 +664,8 @@ def _main(argv: list[str] | None) -> int:
     except SystemExit as e:
         return 0 if e.code in (0, None) else 2
     try:
+        if args.max_n is not None and args.max_n < 0:
+            raise UsageError(f"--max-n must be >= 0, got {args.max_n}")
         code, chunks = args.func(args)
     except UsageError as e:
         print(f"error: {e}", file=sys.stderr)

@@ -31,7 +31,6 @@ __all__ = [
     "LLTReport",
     "LLTFamily",
     "FAMILIES",
-    "VARIANT_NAMES",
     "pmf_from_weights",
     "moments_exact",
     "matsunaga_pmf",
@@ -40,12 +39,10 @@ __all__ = [
     "weighted_matsunaga_pmf",
     "weighted_matsunaga_closed_mean",
     "weighted_matsunaga_asym_moments",
-    "weighted_local_gaussian",
     "arima_pmf",
     "arima_reversed_pmf",
     "arima_exact_moments",
     "arima_asym_moments",
-    "arima_poisson_tv",
     "a033306_pmf",
     "a033306_exact_moments",
     "a033306_asym_variance",
@@ -201,21 +198,6 @@ def weighted_matsunaga_asym_moments(n: int) -> tuple[float, float]:
     return mu, s2
 
 
-def weighted_local_gaussian(n: int, k: int) -> float:
-    """Refined local Gaussian for the n^k-weighted family: the main term
-    ``exp(-x^2/2) / sqrt(2 pi sigma^2 n)`` times its 1/sqrt(n) skew
-    correction, at ``x = (k - mu n) / (sigma sqrt(n))``."""
-    if n < 4:
-        raise ValueError("n must be >= 4")
-    mu = math.log(2.0)
-    s2 = math.log(2.0) - 0.5
-    s = math.sqrt(s2)
-    x = (k - mu * n) / (s * math.sqrt(n))
-    main = math.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi * s2 * n)
-    corr = 1.0 + x * ((4.0 * s2 - 1.0) * x * x - 3.0 * (2.0 * s2 - 1.0)) / (24.0 * s2 * s * math.sqrt(n))
-    return main * corr
-
-
 def arima_pmf(n: int) -> DiscretePMF:
     """Distribution of ``C(n,k) B_{n-k}`` over k = 0..n (total B_{n+1})."""
     if n < 1:
@@ -253,22 +235,6 @@ def arima_asym_moments(n: int) -> tuple[float, float]:
     mu = w * (1.0 - w * w / (2.0 * n * (w + 1.0) ** 2))
     s2 = w * (1.0 - w * (3.0 * w + 2.0) / (2.0 * n * (w + 1.0) ** 2))
     return mu, s2
-
-
-def arima_poisson_tv(n: int) -> float:
-    """Total variation distance between the binomial-Bell distribution
-    and Poisson(W(n)) (the family's limit law)."""
-    pmf = arima_pmf(n)
-    lam = lambert_w(float(n))
-    tv = 0.0
-    pois_mass = 0.0
-    q = math.exp(-lam)
-    for k in pmf.support():
-        tv += abs(float(pmf.prob(k)) - q)
-        pois_mass += q
-        q *= lam / (k + 1)
-    tv += max(0.0, 1.0 - pois_mass)  # Poisson tail beyond the support
-    return 0.5 * tv
 
 
 def a033306_pmf(n: int) -> DiscretePMF:
@@ -312,19 +278,6 @@ def _poly_product(factors: Sequence[tuple[int, int]]) -> list[int]:
             new[i + 1] += b * c
         coeffs = new
     return coeffs
-
-
-VARIANT_NAMES = (
-    "A056856",
-    "A220883",
-    "A260887",
-    "A220884",
-    "A078937",
-    "A078938",
-    "A078939",
-    "A124323",
-    "A086659",
-)
 
 
 def variant_triangle(n: int, which: str) -> DiscretePMF:

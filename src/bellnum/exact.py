@@ -42,6 +42,8 @@ __all__ = [
     "matsunaga_rows",
     "matsunaga_via_sum",
     "bell_matsunaga",
+    "bench_matsunaga_procedure",
+    "bench_arima_procedure",
     "weighted_matsunaga_rows",
     "abs_matsunaga_row",
     "generalized_binomial",
@@ -51,7 +53,6 @@ __all__ = [
     "integer_partitions",
     "bell_polynomial_coefficient",
     "bell_via_shapes",
-    "beta_via_shapes",
     "poisson_moments",
     "arima_rows",
     "solve_bell_inverse",
@@ -156,13 +157,6 @@ class PartitionShape:
     def n(self) -> int:
         return sum(s * c for s, c in self.counts)
 
-    @property
-    def singletons(self) -> int:
-        for s, c in self.counts:
-            if s == 1:
-                return c
-        return 0
-
 
 class _Prefixes:
     """Growing prefixes of B, beta, the Poisson moments and the Matsunaga
@@ -246,13 +240,12 @@ def _stirling_rows(N: int) -> Iterator[tuple[int, ...]]:
 
 
 def stirling_signed_row(n: int) -> tuple[int, ...]:
-    """Signed Stirling row n alone; each earlier row is dropped once the
-    next one is built."""
+    """Signed Stirling row n alone: the last row of ``_stirling_rows(n)``,
+    each earlier row dropped once the next one is built."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    row = (1,)
-    for j in range(2, n + 1):
-        row = _stirling_next(row, j)
+    for row in _stirling_rows(n):
+        pass
     return row
 
 
@@ -394,6 +387,22 @@ def bell_matsunaga(n: int) -> HornerTrace:
     )
 
 
+def bench_matsunaga_procedure(n: int) -> tuple[int, int]:
+    """The Stirling-pipeline procedure as ``bench`` times it: (B_n, the
+    largest intermediate bit length)."""
+    tr = bell_matsunaga(n)
+    return tr.result, tr.max_bits
+
+
+def bench_arima_procedure(n: int) -> tuple[int, int]:
+    """The b-table procedure as ``bench`` times it: (B_n, the largest bit
+    length in rows 1..n and their last row's sum)."""
+    table = b_table_rows(n)
+    bits = max(v.bit_length() for _, _, v in table.items())
+    total = sum(table.row(n))
+    return total, max(bits, total.bit_length())
+
+
 def weighted_matsunaga_rows(N: int) -> TriangleTable:
     """Rows 2..N of ``M[n,k] n^k``; row n sums to ``(B_n - 1) n!``."""
     if N < 2:
@@ -496,8 +505,8 @@ def pn_at_n(N: int) -> tuple[list[int], list[int]]:
     return values, normalized
 
 
-def integer_partitions(n: int, min_part: int = 1) -> Iterator[PartitionShape]:
-    """All partitions of n with parts >= min_part, as block-size shapes."""
+def integer_partitions(n: int) -> Iterator[PartitionShape]:
+    """All partitions of n, as block-size shapes."""
     if n < 0:
         raise ValueError("n must be >= 0")
 
@@ -508,7 +517,7 @@ def integer_partitions(n: int, min_part: int = 1) -> Iterator[PartitionShape]:
         for part in range(smallest, remaining + 1):
             yield from rec(remaining - part, part, acc + [part])
 
-    for sizes in rec(n, min_part, []):
+    for sizes in rec(n, 1, []):
         yield PartitionShape.from_block_sizes(sizes)
 
 
@@ -528,11 +537,6 @@ def bell_polynomial_coefficient(shape: PartitionShape) -> int:
 def bell_via_shapes(n: int) -> int:
     """B_n as the sum of shape coefficients over all partitions of n."""
     return sum(bell_polynomial_coefficient(s) for s in integer_partitions(n))
-
-
-def beta_via_shapes(n: int) -> int:
-    """beta_n as the same sum restricted to singleton-free shapes."""
-    return sum(bell_polynomial_coefficient(s) for s in integer_partitions(n, min_part=2))
 
 
 def poisson_moments(mean: int, N: int) -> list[int]:

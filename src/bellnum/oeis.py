@@ -32,6 +32,7 @@ __all__ = [
     "BFileParseError",
     "SequenceSpec",
     "REGISTRY",
+    "CheckResult",
     "parse_bfile",
     "check_bfile",
 ]

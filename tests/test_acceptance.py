@@ -16,7 +16,7 @@ from math import comb, factorial
 from bellnum import exact, partitions
 from bellnum import asymptotic as asy
 from bellnum import distributions as dist
-from bellnum.cli import bench_arima_procedure, bench_matsunaga_procedure
+from bellnum.exact import bench_arima_procedure, bench_matsunaga_procedure
 
 from test_exact import BETA_LIST, PN_NORM, TABLE_A, TABLE_M, TABLE_MW
 

@@ -2,9 +2,9 @@
 
 Subcommand x target x small, negative or garbage sizes and ladders x
 format x ``--out``. Whatever the arguments, ``main`` returns 0, 1, 2 or 3
-and never lets an exception (a traceback) escape, and a command refused
-with 2 or 3 leaves no output file. Sizes stay small, so no example
-starts heavy work.
+and never lets an exception (a traceback) escape, a negative ``--max-n``
+is refused with 2, and a command refused with 2 or 3 leaves no output
+file. Sizes stay small, so no example starts heavy work.
 """
 
 import contextlib
@@ -86,6 +86,8 @@ def test_exit_code_documented_and_no_traceback(bfile, out_dir, args, out_name):
         code = main(args)
     assert code in (0, 1, 2, 3), (args, code)
     assert "Traceback" not in err.getvalue()
+    if "--max-n" in args and args[args.index("--max-n") + 1].startswith("-"):
+        assert code == 2, args
     if out_name is None:
         return
     if code in (2, 3):

@@ -411,6 +411,30 @@ class TestCaps:
         assert cli.LLT_CAP >= 600 and cli.ASYM_CAP >= 900 and cli.VERIFY_CAP >= 100
 
     @pytest.mark.parametrize("argv", [
+        ["table", "bell", "5"],
+        ["verify", "identities", "5"],
+        ["asym", "phi"],
+        ["llt", "arima", "10"],
+        ["bench", "4"],
+        ["genjiko"],
+    ])
+    def test_negative_cap_is_usage_error(self, capsys, no_work, argv):
+        code = main([*argv, "--max-n", "-1"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "error: --max-n must be >= 0, got -1\n"
+
+    def test_negative_cap_skips_no_bfile_entry(self, capsys, tmp_path):
+        # taken as a count, -1 would slice off the last of these 20
+        # entries, the only wrong one, and the check would pass
+        f = tmp_path / "b.txt"
+        f.write_text("".join(f"{i} {v}\n" for i, v in enumerate(exact.bell_numbers(18)))
+                     + "19 0\n")
+        assert run(capsys, "oeis-check", "bell", str(f))[0] == 1
+        assert run(capsys, "oeis-check", "bell", str(f), "--max-n", "-1") == (2, "")
+
+    @pytest.mark.parametrize("argv", [
         ["llt", "arima", "10,30", "--max-n", "30"],
         ["asym", "stirling", "40", "--max-n", "40"],
         ["verify", "identities", "5", "--max-n", "5"],
@@ -454,7 +478,7 @@ class TestBench:
             seen.append((len(exact._PREFIX.bells), len(exact._PREFIX.matsunaga)))
             return cli.exact.bell_matsunaga(n).result, 0
 
-        monkeypatch.setattr(cli, "bench_matsunaga_procedure", procedure)
+        monkeypatch.setattr(exact, "bench_matsunaga_procedure", procedure)
         assert run(capsys, "bench", "16", "--repeats", "3")[0] == 0
         assert seen == [(1, 1)] * 12
 
@@ -480,6 +504,16 @@ class TestOeisCheck:
     def test_missing_file_exits_three(self, capsys, tmp_path):
         code, _ = run(capsys, "oeis-check", "bell", str(tmp_path / "none.txt"))
         assert code == 3
+
+    def test_undecodable_file_exits_three(self, capsys, tmp_path):
+        f = tmp_path / "latin1.txt"
+        f.write_bytes(b"0 1\n1 1\n2 \xff\n")
+        code = main(["oeis-check", "bell", str(f)])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err.startswith("parse error: ")
+        assert captured.err.count("\n") == 1
 
     def test_unknown_sequence(self, capsys, tmp_path):
         f = tmp_path / "x.txt"

@@ -345,16 +345,14 @@ class TestShapes:
         with pytest.raises(ValueError):
             exact.PartitionShape(((2, 1), (2, 1)))
 
-    def test_sums_over_shapes(self, bells, betas):
+    def test_sums_over_shapes(self, bells):
         assert exact.bell_via_shapes(6) == 203
         for n in range(9):
             assert exact.bell_via_shapes(n) == bells[n]
-            assert exact.beta_via_shapes(n) == betas[n]
 
     def test_shape_n_and_singletons(self):
         shape = exact.PartitionShape.from_block_sizes([1, 1, 3, 2])
         assert shape.n == 7
-        assert shape.singletons == 2
 
 
 class TestPoissonMoments:

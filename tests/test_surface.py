@@ -1,0 +1,67 @@
+"""Public surface: every public name of the library modules is listed in
+``__all__`` and is needed by something other than its own tests.
+
+A name counts as used where the package itself refers to it, where an
+acceptance criterion does, or where the benchmark's kernel and oracle
+workloads call it by name. A function kept alive only by its own unit
+tests fails here.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "bellnum"
+MODULES = ("exact", "asymptotic", "distributions", "partitions", "oeis")
+# the benchmark's request keys ("bell_numbers 60", ...) name the functions it calls
+WORKLOADS = ROOT / "perfbench" / "workloads.py"
+USERS = [*sorted(PACKAGE.glob("*.py")), ROOT / "tests" / "test_acceptance.py", WORKLOADS]
+
+
+def _tree(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(encoding="utf-8"))
+
+
+def _defined(tree: ast.Module) -> tuple[list[str], set[str]]:
+    """(``__all__``, the public functions, classes and constants at top level)."""
+    listed: list[str] = []
+    public: set[str] = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+            if names == ["__all__"]:
+                listed = [ast.literal_eval(e) for e in node.value.elts]
+                continue
+        else:
+            continue
+        public.update(n for n in names if not n.startswith("_"))
+    return listed, public
+
+
+def _references(path: Path) -> set[str]:
+    """Names a file reads, bare or as attributes; assignments, definitions,
+    ``__all__`` strings, docstrings and comments are not references."""
+    refs = set()
+    for node in ast.walk(_tree(path)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            refs.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            refs.add(node.attr)
+        elif (path == WORKLOADS and isinstance(node, ast.Constant)
+              and isinstance(node.value, str) and node.value.split()):
+            refs.add(node.value.split()[0])
+    return refs
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_all_lists_the_public_names_and_each_has_a_user(module):
+    listed, public = _defined(_tree(PACKAGE / f"{module}.py"))
+    assert sorted(listed) == sorted(public), "__all__ differs from the public names"
+    used = set().union(*map(_references, USERS))
+    unused = [name for name in listed if name not in used]
+    assert not unused, f"no caller outside their own tests: {unused}"
