@@ -560,18 +560,18 @@ def cmd_oeis_check(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
         with open(args.bfile, "r", encoding="utf-8") as fh:
             text = fh.read()
     except OSError as e:
-        raise BFileParseError(f"cannot read {args.bfile}: {e.strerror}", 0) from None
+        raise BFileParseError(f"cannot read {args.bfile}: {e.strerror}") from None
     except UnicodeDecodeError as e:
-        raise BFileParseError(f"cannot decode {args.bfile} as UTF-8: {e.reason}", 0) from None
+        raise BFileParseError(f"cannot decode {args.bfile} as UTF-8: {e.reason}") from None
     cap = args.max_n if args.max_n is not None else 600
     result = check_bfile(args.sequence, text, max_terms=cap)
-    if result.first_mismatch is not None:
-        e = result.first_mismatch
-        return 1, [f"MISMATCH for {result.sequence} at index {e.index}: "
-                   f"file has {e.value}, computed {result.expected}\n"]
-    if result.compared == 0:
+    if result.ok:
+        return 0, [f"match: {result.compared} values of {result.sequence}\n"]
+    e = result.first_mismatch
+    if e is None:
         return 1, [f"no comparable entries for {result.sequence}\n"]
-    return 0, [f"match: {result.compared} values of {result.sequence}\n"]
+    return 1, [f"MISMATCH for {result.sequence} at index {e.index}: "
+               f"file has {e.value}, computed {result.expected}\n"]
 
 
 # --------------------------------------------------------------- genjiko

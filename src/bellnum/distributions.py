@@ -66,11 +66,6 @@ class DiscretePMF:
     def support(self) -> range:
         return range(self.k_min, self.k_min + len(self.weights))
 
-    def prob(self, k: int) -> Fraction:
-        if k not in self.support():
-            raise IndexError(f"{self.name}: k={k} outside support")
-        return Fraction(self.weights[k - self.k_min], self.total)
-
 
 @dataclass(frozen=True)
 class LLTReport:

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, repeat
+from itertools import accumulate, chain, repeat
 from math import comb, factorial
 from operator import mul
 from typing import Iterator, Mapping, Sequence
@@ -398,7 +398,7 @@ def bench_arima_procedure(n: int) -> tuple[int, int]:
     """The b-table procedure as ``bench`` times it: (B_n, the largest bit
     length in rows 1..n and their last row's sum)."""
     table = b_table_rows(n)
-    bits = max(v.bit_length() for _, _, v in table.items())
+    bits = max(map(int.bit_length, chain.from_iterable(table.rows)))
     total = sum(table.row(n))
     return total, max(bits, total.bit_length())
 

@@ -45,8 +45,11 @@ class BFileEntry:
 
 
 class BFileParseError(ValueError):
-    def __init__(self, message: str, line_number: int):
-        super().__init__(f"line {line_number}: {message}")
+    """A b-file that cannot be read or parsed; ``line_number`` is None when
+    the fault is in the file as a whole."""
+
+    def __init__(self, message: str, line_number: int | None = None):
+        super().__init__(message if line_number is None else f"line {line_number}: {message}")
         self.line_number = line_number
 
 
@@ -182,6 +185,8 @@ class CheckResult:
 def check_bfile(sequence: str, text: str, max_terms: int = 600) -> CheckResult:
     """Compare a b-file against the registry sequence; stop at the first
     mismatch or after max_terms comparisons."""
+    if max_terms < 0:
+        raise ValueError(f"max_terms must be >= 0, got {max_terms}")
     key = sequence.lower()
     if key not in REGISTRY:
         raise KeyError(f"unknown sequence {sequence!r}")

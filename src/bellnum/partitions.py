@@ -7,6 +7,14 @@ deterministic.  Everything counted here is counted by sheer exhaustion,
 independent of any recurrence, which is exactly what makes it a useful
 oracle for the exact kernel at small n.
 
+One iterative walker, Knuth's Algorithm H, steps through the first n - 1
+codes in place, changing O(1) codes per step on average.  Each caller
+then places the last element in every block of the prefix and in a new
+one: ``rgs_strings`` builds the tuples, counting-only enumeration counts
+the placements one by one, and ``collect_stats`` keeps the prefix's
+block sizes and an integer shape key up to date as codes change, so each
+partition costs one tally, and turns the keys into shapes at the end.
+
 Caps: full enumeration up to n = 13 (about 2.8e7 visits), statistics
 collection up to n = 12 where the per-partition bookkeeping dominates.
 """
@@ -51,21 +59,57 @@ class PartitionStats:
     singleton_count_hist: tuple[int, ...]
 
 
+def _prefixes(n: int) -> Iterator[tuple[int, list[int], int]]:
+    """Knuth's Algorithm H (TAOCP Vol. 4A, 7.2.1.5) over the first n - 1
+    codes of a restricted growth string of length n.
+
+    Yields ``(j, head, m)`` once per prefix ``head`` (one list, updated in
+    place), in lexicographic order; the last code may then take any value
+    in ``0..m``, where ``m = 1 + max(head)`` (0 when n = 1) is also the
+    number of blocks of the prefix.  Between two yields ``head[j]`` rises
+    by one and each later code, every one of which had opened a block of
+    its own, falls to 0; the first yield has ``j = n - 1``.
+    """
+    last = n - 1
+    head = [0] * last
+    # bound[i] = 1 + max(head[:i]), the largest code position i may take;
+    # bound[0] = 1 > head[0] stops the scan below at position 0
+    bound = [1] * n
+    yield last, head, 1 if last else 0
+    if last < 2:
+        return  # a prefix of at most one code is all zeros
+    q = last - 1
+    while True:
+        # step the prefix's last code through 1..bound[q]
+        b = bound[q]
+        for c in range(1, b):
+            head[q] = c
+            yield q, head, b
+        head[q] = b
+        yield q, head, b + 1
+        # find the rightmost code below its bound, raise it, zero the rest
+        j = q - 1
+        while head[j] == bound[j]:
+            j -= 1
+        if not j:
+            return
+        c = head[j] = head[j] + 1
+        m = bound[j] + (c == bound[j])
+        for i in range(j + 1, last):
+            head[i] = 0
+            bound[i] = m
+        yield j, head, m
+
+
 def rgs_strings(n: int) -> Iterator[tuple[int, ...]]:
     """Yield all restricted growth strings of length n in lex order."""
     if not 1 <= n <= ENUM_CAP:
         raise ValueError(f"n must be in 1..{ENUM_CAP}")
-    codes = [0] * n
-
-    def rec(i: int, maxc: int) -> Iterator[tuple[int, ...]]:
-        if i == n:
-            yield tuple(codes)
-            return
-        for c in range(maxc + 2):
-            codes[i] = c
-            yield from rec(i + 1, max(maxc, c))
-
-    yield from rec(1, 0)
+    tails = [(c,) for c in range(n)]
+    for _, head, m in _prefixes(n):
+        prefix = tuple(head)
+        for tail in tails[:m + 1]:
+            yield prefix + tail
 
 
 def rgs_to_blocks(codes: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
@@ -87,16 +131,11 @@ def enumerate_partitions(n: int, visitor: Callable[[tuple[int, ...]], None] | No
         raise ValueError(f"n must be in 1..{ENUM_CAP}")
     count = 0
     if visitor is None:
-        # counting only: no tuple construction on the hot path
-        def rec_count(i: int, maxc: int) -> int:
-            if i == n:
-                return 1
-            c = 0
-            for code in range(maxc + 2):
-                c += rec_count(i + 1, max(maxc, code))
-            return c
-
-        return rec_count(1, 0)
+        # counting only: each placement of the last element is one visit
+        for _, _, m in _prefixes(n):
+            for _ in range(m + 1):
+                count += 1
+        return count
     for codes in rgs_strings(n):
         visitor(codes)
         count += 1
@@ -107,47 +146,62 @@ def collect_stats(n: int) -> PartitionStats:
     """Exhaustive statistics over all set partitions of an n-set."""
     if not 1 <= n <= STATS_CAP:
         raise ValueError(f"n must be in 1..{STATS_CAP}")
-    total = 0
-    no_singleton = 0
-    by_sizes: dict[tuple[int, ...], int] = {}
+    # Each partition is tallied under one integer key: in base n + 1,
+    # digit 0 is the size of element 1's block and digit s the number of
+    # blocks of size s, so a block of size s adds weight[s] = base**s.
+    base = n + 1
+    weight = [0] + [base**s for s in range(1, n + 2)]
+    grow = [weight[s + 1] - weight[s] for s in range(n + 1)]  # a block of size s gains one
+    sizes = [0] * (n + 1)  # the prefix's blocks, then zeros: sizes[m] is the new block
+    sizes[0] = n - 1  # the first prefix is all zeros
+    key = weight[n - 1] + n - 1  # the prefix's key
+    blocks = 1 if n > 1 else 0
+    tally: dict[int, int] = {}
+    get = tally.get
+    for j, head, m in _prefixes(n):
+        if j < n - 1:
+            singles = n - 2 - j
+            if singles:
+                # the codes after j had each opened a block: the last ones
+                blocks -= singles
+                sizes[blocks:blocks + singles] = [0] * singles
+                key -= singles * base
+            # element j + 1 moves from block c - 1 to block c
+            c = head[j]
+            s = sizes[c - 1]
+            sizes[c - 1] = s - 1
+            key -= grow[s - 1] + (c == 1)
+            s = sizes[c]
+            sizes[c] = s + 1
+            key += grow[s]
+            if singles:
+                # and the codes after j, now 0, join block 0
+                s = sizes[0]
+                sizes[0] = s + singles
+                key += weight[s + singles] - weight[s] + singles
+            blocks = m
+        # the last element joins each block of the prefix, then a new one
+        k = key + grow[sizes[0]] + 1
+        tally[k] = get(k, 0) + 1
+        for s in sizes[1:m + 1]:
+            k = key + grow[s]
+            tally[k] = get(k, 0) + 1
+    by_shape: dict[PartitionShape, int] = {}
     block1_hist = [0] * (n + 1)
     singleton_hist = [0] * (n + 1)
-    sizes = [0] * (n + 1)
-
-    def rec(i: int, nb: int) -> None:
-        nonlocal total, no_singleton
-        if i == n:
-            total += 1
-            key = tuple(sorted(sizes[:nb]))
-            by_sizes[key] = by_sizes.get(key, 0) + 1
-            singles = 0
-            for s in key:
-                if s == 1:
-                    singles += 1
-                else:
-                    break  # key is sorted
-            singleton_hist[singles] += 1
-            if singles == 0:
-                no_singleton += 1
-            block1_hist[sizes[0]] += 1
-            return
-        for b in range(nb):
-            sizes[b] += 1
-            rec(i + 1, nb)
-            sizes[b] -= 1
-        sizes[nb] = 1
-        rec(i + 1, nb + 1)
-        sizes[nb] = 0
-
-    sizes[0] = 1
-    rec(1, 1)
-    by_shape = {
-        PartitionShape.from_block_sizes(key): cnt for key, cnt in by_sizes.items()
-    }
+    for key, count in tally.items():
+        key, block1 = divmod(key, base)
+        mult = {}
+        for s in range(1, n + 1):
+            key, mult[s] = divmod(key, base)
+        shape = PartitionShape.from_mapping(mult)
+        by_shape[shape] = by_shape.get(shape, 0) + count
+        block1_hist[block1] += count
+        singleton_hist[mult[1]] += count
     return PartitionStats(
         n=n,
-        total=total,
-        no_singleton_total=no_singleton,
+        total=sum(tally.values()),
+        no_singleton_total=singleton_hist[0],
         by_shape=by_shape,
         block_of_element1_size_hist=tuple(block1_hist),
         singleton_count_hist=tuple(singleton_hist),

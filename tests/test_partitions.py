@@ -1,6 +1,9 @@
 """Oracle tests: the exhaustive enumeration against the exact kernel."""
 
+import ast
+from itertools import product
 from math import comb
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -36,6 +39,14 @@ class TestEnumeration:
             partitions.enumerate_partitions(partitions.ENUM_CAP + 1)
         with pytest.raises(ValueError):
             partitions.enumerate_partitions(0)
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_growth_strings_equal_a_brute_force_filter(self, n):
+        def restricted(codes):
+            return all(c <= max(codes[:i]) + 1 for i, c in enumerate(codes) if i) and codes[0] == 0
+
+        expected = [codes for codes in product(range(n), repeat=n) if restricted(codes)]
+        assert list(partitions.rgs_strings(n)) == expected
 
     @given(st.integers(min_value=1, max_value=7))
     @settings(deadline=None)
@@ -90,6 +101,39 @@ class TestStats:
     def test_cap(self):
         with pytest.raises(ValueError):
             partitions.collect_stats(partitions.STATS_CAP + 1)
+
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_stats_equal_tallies_over_the_blocks(self, n):
+        by_shape, block1, singles = {}, [0] * (n + 1), [0] * (n + 1)
+        for codes in partitions.rgs_strings(n):
+            blocks = partitions.rgs_to_blocks(codes)
+            shape = exact.PartitionShape.from_block_sizes([len(b) for b in blocks])
+            by_shape[shape] = by_shape.get(shape, 0) + 1
+            block1[len(blocks[0])] += 1
+            singles[sum(len(b) == 1 for b in blocks)] += 1
+        assert partitions.collect_stats(n) == partitions.PartitionStats(
+            n=n,
+            total=sum(by_shape.values()),
+            no_singleton_total=singles[0],
+            by_shape=by_shape,
+            block_of_element1_size_hist=tuple(block1),
+            singleton_count_hist=tuple(singles),
+        )
+        assert list(partitions.collect_stats(n).by_shape) == list(by_shape)
+
+
+class TestIndependence:
+    def test_only_partition_shape_comes_from_the_kernel(self):
+        # the oracle counts by exhaustion: no kernel prefix or recurrence
+        source = Path(partitions.__file__).read_text(encoding="utf-8")
+        package = []
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("bellnum")):
+                package.append((node.module, [a.name for a in node.names]))
+            elif isinstance(node, ast.Import):
+                package += [(a.name, []) for a in node.names if a.name.startswith("bellnum")]
+        assert package == [("exact", ["PartitionShape"])]
 
 
 class TestGenjiko:

@@ -1,10 +1,12 @@
 """Public surface: every public name of the library modules is listed in
-``__all__`` and is needed by something other than its own tests.
+``__all__`` and is needed by something other than its own tests, and so
+is every public method and property of the classes listed there.
 
 A name counts as used where the package itself refers to it, where an
 acceptance criterion does, or where the benchmark's kernel and oracle
-workloads call it by name. A function kept alive only by its own unit
-tests fails here.
+workloads call it by name; a method or property counts as used where one
+of them reads it as an attribute. A function kept alive only by its own
+unit tests fails here.
 """
 
 import ast
@@ -43,6 +45,20 @@ def _defined(tree: ast.Module) -> tuple[list[str], set[str]]:
     return listed, public
 
 
+def _methods(tree: ast.Module, listed: list[str]) -> list[tuple[str, str]]:
+    """(class, name) for the public methods and properties of the listed classes."""
+    return [(node.name, item.name) for node in tree.body
+            if isinstance(node, ast.ClassDef) and node.name in listed
+            for item in node.body
+            if isinstance(item, ast.FunctionDef) and not item.name.startswith("_")]
+
+
+def _attributes(path: Path) -> set[str]:
+    """Attribute names a file reads (``x.name``, ``x.name()``)."""
+    return {node.attr for node in ast.walk(_tree(path))
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+
+
 def _references(path: Path) -> set[str]:
     """Names a file reads, bare or as attributes; assignments, definitions,
     ``__all__`` strings, docstrings and comments are not references."""
@@ -64,4 +80,13 @@ def test_all_lists_the_public_names_and_each_has_a_user(module):
     assert sorted(listed) == sorted(public), "__all__ differs from the public names"
     used = set().union(*map(_references, USERS))
     unused = [name for name in listed if name not in used]
+    assert not unused, f"no caller outside their own tests: {unused}"
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_public_methods_each_have_a_user(module):
+    tree = _tree(PACKAGE / f"{module}.py")
+    listed, _ = _defined(tree)
+    read = set().union(*map(_attributes, USERS))
+    unused = [f"{cls}.{name}" for cls, name in _methods(tree, listed) if name not in read]
     assert not unused, f"no caller outside their own tests: {unused}"
