@@ -43,7 +43,7 @@ class TestEnumeration:
     @pytest.mark.parametrize("n", range(1, 8))
     def test_growth_strings_equal_a_brute_force_filter(self, n):
         def restricted(codes):
-            return all(c <= max(codes[:i]) + 1 for i, c in enumerate(codes) if i) and codes[0] == 0
+            return codes[0] == 0 and all(c <= max(codes[:i]) + 1 for i, c in enumerate(codes) if i)
 
         expected = [codes for codes in product(range(n), repeat=n) if restricted(codes)]
         assert list(partitions.rgs_strings(n)) == expected
@@ -102,7 +102,6 @@ class TestStats:
         with pytest.raises(ValueError):
             partitions.collect_stats(partitions.STATS_CAP + 1)
 
-
     @pytest.mark.parametrize("n", range(1, 9))
     def test_stats_equal_tallies_over_the_blocks(self, n):
         by_shape, block1, singles = {}, [0] * (n + 1), [0] * (n + 1)
@@ -112,7 +111,8 @@ class TestStats:
             by_shape[shape] = by_shape.get(shape, 0) + 1
             block1[len(blocks[0])] += 1
             singles[sum(len(b) == 1 for b in blocks)] += 1
-        assert partitions.collect_stats(n) == partitions.PartitionStats(
+        st_ = partitions.collect_stats(n)
+        assert st_ == partitions.PartitionStats(
             n=n,
             total=sum(by_shape.values()),
             no_singleton_total=singles[0],
@@ -120,7 +120,8 @@ class TestStats:
             block_of_element1_size_hist=tuple(block1),
             singleton_count_hist=tuple(singles),
         )
-        assert list(partitions.collect_stats(n).by_shape) == list(by_shape)
+        # shapes in order of first appearance, so a failing check names the first
+        assert list(st_.by_shape) == list(by_shape)
 
 
 class TestIndependence:
