@@ -18,6 +18,7 @@ import sys
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from math import factorial
 from typing import Any, Callable, Iterable, Iterator
 
@@ -204,6 +205,8 @@ def _identities(N: int) -> list[Check]:
     s = exact.stirling_unsigned_rows(c25 + 1)
     b_table = exact.b_table_rows(c25)
     vals, norm = exact.pn_at_n(N)
+    # the checks walk (n, k) row by row: one sum-form row per n
+    sum_row = functools.lru_cache(maxsize=1)(exact._sum_form_row)
     abs_row = functools.lru_cache(maxsize=1)(exact.abs_matsunaga_row)
 
     def abs_formula(nk: tuple[int, int]) -> bool:
@@ -233,7 +236,7 @@ def _identities(N: int) -> list[Check]:
               lambda n: sum(v * n**k for k, v in enumerate(m.row(n), start=1))
               == (bells[n] - 1) * factorial(n)),
         Check(f"sum form equals recurrence triangle (n<={c25})", _triangle(c25),
-              lambda nk: exact.matsunaga_via_sum(*nk) == m.entry(*nk),
+              lambda nk: sum_row(nk[0])[nk[1] - 1] == m.entry(*nk),
               "first counterexample (n,k)="),
         Check(f"alternating |M| formula, exception exactly (3,1) (n<={N})", _triangle(N),
               abs_formula, "violated at (n,k)=",
@@ -298,8 +301,9 @@ def _variants(N: int) -> list[Check]:
     cap = min(N, 40)
 
     def alternating(n: int) -> list[int]:
-        return [n**k * sum((-1) ** (k - j) * s.entry(n + 1, j + 1) for j in range(k + 1))
-                for k in range(n)]
+        # sum_{j<=k} (-1)^(k-j) |s[n+1,j+1]| is |s[n+1,k+1]| less the sum at k - 1
+        sums = accumulate(s.row(n + 1)[:n], lambda prev, x: x - prev)
+        return [n**k * a for k, a in enumerate(sums)]
 
     def singleton_marker(n: int) -> bool:
         t = variant_triangle(n, "A124323")
@@ -381,11 +385,32 @@ def _parse_ladder(text: str) -> list[int]:
 
 def _stirling_points(ladder: list[int]) -> dict[int, dict[int, int]]:
     """``|s[n,k]|`` at k = 2, n//2 and n-1 (ascending, each once) for every
-    n of the ladder, read in one pass over the signed rows that holds a
-    single row at a time."""
-    ks = {n: sorted({2, n // 2, n - 1}) for n in ladder}
-    return {n: {k: abs(row[k - 1]) for k in ks[n]}
-            for n, row in enumerate(exact._stirling_rows(max(ladder)), start=1) if n in ks}
+    n of the ladder.
+
+    k = 2 and k = n-1 have closed forms, ``(n-1)! H_(n-1)`` and ``C(n,2)``.
+    The middle points come from one pass over the rows of the unsigned
+    recurrence ``|s[n,k]| = |s[n-1,k-1]| + (n-1) |s[n-1,k]|`` that keeps,
+    one row at a time, only the band that reaches the largest n's middle
+    point: columns ``max(1, n - ceil(N/2)) .. min(n, N//2)`` of row n.
+    Every smaller n's middle point lies inside that band.
+    """
+    N, wanted = max(ladder), set(ladder)
+    half = N // 2
+    mids: dict[int, int] = {}
+    lo, band = 1, [1]  # row 1 from column 1
+    for n in range(2, N + 1):
+        # columns lo .. lo + len(band) of row n, then the band's own
+        row = [a + (n - 1) * b for a, b in zip([0] + band, band + [0])]
+        new_lo = max(1, n - (N - half))
+        band, lo = row[new_lo - lo:half - lo + 1], new_lo
+        if n in wanted:
+            mids[n] = band[n // 2 - lo]
+    points = {}
+    for n in ladder:
+        f = factorial(n - 1)
+        ends = {2: sum(f // j for j in range(1, n)), n - 1: math.comb(n, 2)}
+        points[n] = {k: ends[k] if k in ends else mids[n] for k in sorted({2, n // 2, n - 1})}
+    return points
 
 
 def cmd_asym(args: argparse.Namespace) -> tuple[int, Iterable[str]]:

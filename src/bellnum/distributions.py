@@ -18,6 +18,7 @@ from math import comb
 from typing import Callable, Sequence
 
 from .exact import (
+    abs_matsunaga_row,
     bell_numbers,
     beta_numbers,
     matsunaga_rows,
@@ -119,11 +120,11 @@ def moments_exact(pmf: DiscretePMF) -> tuple[Fraction, Fraction]:
 
 
 def matsunaga_pmf(n: int) -> DiscretePMF:
-    """Distribution of |M[n,k]| over k = 1..n."""
+    """Distribution of |M[n,k]| over k = 1..n, from the sum-form row alone
+    (``abs_matsunaga_row`` differs from |M| in one sign only)."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    row = matsunaga_rows(n).row(n)
-    return pmf_from_weights(1, [abs(v) for v in row], name=f"matsunaga[{n}]")
+    return pmf_from_weights(1, [abs(v) for v in abs_matsunaga_row(n)], name=f"matsunaga[{n}]")
 
 
 def matsunaga_closed_moments(n: int) -> tuple[Fraction, Fraction]:
@@ -162,7 +163,7 @@ def weighted_matsunaga_pmf(n: int) -> DiscretePMF:
     are excluded together with the (3,1) sign exception)."""
     if n < 4:
         raise ValueError("n must be >= 4")
-    row = matsunaga_rows(n).row(n)
+    row = abs_matsunaga_row(n)
     weights = [abs(v) * n**k for k, v in zip(range(1, n + 1), row)]
     return pmf_from_weights(1, weights, name=f"weighted_matsunaga[{n}]")
 

@@ -5,25 +5,29 @@ Everything in this module is computed with Python's native big integers
 equalities asserted elsewhere are exact, never approximate.  The module
 covers both eighteenth-century Bell-number procedures:
 
-* the Stirling-number pipeline, which tabulates signed Stirling numbers
-  of the first kind, the singleton-free partition counts ``beta``, the
-  Matsunaga triangle ``M[n,k]``, and finally evaluates
-  ``B_n = 1 + (1/n!) * sum_k M[n,k] n^k`` by Horner's rule;
+* the Stirling-number pipeline: signed Stirling numbers of the first
+  kind, the singleton-free partition counts ``beta``, the Matsunaga
+  triangle ``M[n,k]``, and ``B_n = 1 + (1/n!) sum_k M[n,k] n^k`` by
+  Horner's rule;
 * the binomial recurrence ``B_n = sum_k C(n-1,k) B_{n-1-k}``, carried
   out through the row table ``b[n,k] = C(n-1,k-1) B_{n-k}`` that trades
   space for time.
 
+M has two routes.  The recurrence ``M[n,k] = n M[n-1,k] + beta_n s[n,k]``
+is one growing prefix, for the triangle and the Horner procedure; the
+sum form ``M[n,k] = n! sum_{k<=j<=n} (beta_j / j!) s[j,k]`` builds one
+row alone, for callers that read a few rows.  Each is checked on the other.
+
 The Horner evaluation is instrumented (every partial accumulator and its
 bit length is recorded) because the intermediate values reach the scale
-of ``B_n * n!`` and cancel violently; the instrumentation makes that
-observable data rather than folklore.
+of ``B_n * n!`` and cancel violently.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, chain, repeat
+from itertools import accumulate, repeat
 from math import comb, factorial
 from operator import mul
 from typing import Iterator, Mapping, Sequence
@@ -339,19 +343,29 @@ def matsunaga_rows(N: int) -> TriangleTable:
     return TriangleTable("matsunaga", 1, 1, tuple(_PREFIX.matsunaga_upto(N)[:N]))
 
 
+def _sum_form_row(n: int, rising: bool = False) -> list[int]:
+    """Row n of the sum form, ``M[n,k]`` for k = 1..n, without the recurrence.
+
+    ``sum_k M[n,k] x^(k-1) = sum_j c_j (x-1)...(x-j+1)`` with the integer
+    ``c_j = beta_j n!/j!``, by Horner's rule: ``H = c_n``, then
+    ``H = c_j + (x - j) H`` down to j = 1, each step a small multiplier.
+    ``rising`` takes ``x + j`` and ``(-1)^(n-j) c_j``: the formula over |s|.
+    """
+    beta = _PREFIX.betas_upto(n)
+    h, ratio = [beta[n]], 1  # ratio = n!/j!
+    for j in range(n - 1, 0, -1):
+        ratio *= j + 1
+        t = j if rising else -j
+        h = [a + t * b for a, b in zip([0] + h, h + [0])]
+        h[0] += -beta[j] * ratio if rising and (n - j) % 2 else beta[j] * ratio
+    return h
+
+
 def matsunaga_via_sum(n: int, k: int) -> int:
-    """``M[n,k] = n! sum_{k<=j<=n} (beta_j / j!) s[j,k]``, the unrolled
-    form of the triangle recurrence, evaluated independently of it as an
-    integer sum (``n!/j!`` is an integer)."""
+    """``M[n,k]`` from the sum form, the unrolled triangle recurrence."""
     if not 1 <= k <= n:
         raise IndexError(f"(n={n}, k={k}) outside triangle")
-    beta = _PREFIX.betas_upto(n)
-    total, ratio = 0, factorial(n)  # ratio = n!/j!
-    for j, srow in enumerate(_stirling_rows(n), start=1):
-        if j >= k:
-            total += beta[j] * srow[k - 1] * ratio
-        ratio //= j + 1
-    return total
+    return _sum_form_row(n)[k - 1]
 
 
 def bell_matsunaga(n: int) -> HornerTrace:
@@ -378,13 +392,8 @@ def bell_matsunaga(n: int) -> HornerTrace:
     q, rem = divmod(inner, factorial(n))
     if rem:
         raise ArithmeticError(f"inner sum not divisible by {n}! at n={n}")
-    return HornerTrace(
-        n=n,
-        partial_values=tuple(partials),
-        inner_sum=inner,
-        max_bits=bits,
-        result=q + 1,
-    )
+    return HornerTrace(n=n, partial_values=tuple(partials), inner_sum=inner,
+                       max_bits=bits, result=q + 1)
 
 
 def bench_matsunaga_procedure(n: int) -> tuple[int, int]:
@@ -396,11 +405,10 @@ def bench_matsunaga_procedure(n: int) -> tuple[int, int]:
 
 def bench_arima_procedure(n: int) -> tuple[int, int]:
     """The b-table procedure as ``bench`` times it: (B_n, the largest bit
-    length in rows 1..n and their last row's sum)."""
-    table = b_table_rows(n)
-    bits = max(map(int.bit_length, chain.from_iterable(table.rows)))
-    total = sum(table.row(n))
-    return total, max(bits, total.bit_length())
+    length in rows 1..n and their last row's sum).  That is B_n's own:
+    each ``b[m,k]`` is a term of row m's sum ``B_m <= B_n``."""
+    total = sum(b_table_rows(n).row(n))
+    return total, total.bit_length()
 
 
 def weighted_matsunaga_rows(N: int) -> TriangleTable:
@@ -415,23 +423,12 @@ def weighted_matsunaga_rows(N: int) -> TriangleTable:
 
 def abs_matsunaga_row(n: int) -> list[int]:
     """The alternating-sign formula
-    ``n! sum_{k<=j<=n} (-1)^(n-j) (beta_j / j!) |s[j,k]|`` for k = 1..n,
-    as an integer sum.
-
-    Equals ``|M[n,k]|`` everywhere except (n,k) = (3,1), where it gives
-    the negative of the true absolute value; callers check for that one
-    exceptional sign themselves.
-    """
+    ``n! sum_{k<=j<=n} (-1)^(n-j) (beta_j / j!) |s[j,k]|`` for k = 1..n.
+    It equals ``|M[n,k]|`` except at (n,k) = (3,1), where it gives -1;
+    callers check for that one exceptional sign themselves."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    beta = _PREFIX.betas_upto(n)
-    out, ratio = [0] * n, factorial(n)  # ratio = n!/j!
-    for j, srow in enumerate(_stirling_rows(n), start=1):
-        w = (-1) ** (n - j) * beta[j] * ratio
-        for i, s in enumerate(srow):
-            out[i] += w * abs(s)
-        ratio //= j + 1
-    return out
+    return _sum_form_row(n, True)
 
 
 def generalized_binomial(v: Fraction | int, m: int) -> Fraction:

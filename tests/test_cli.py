@@ -8,6 +8,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bellnum.cli import main
 from bellnum import exact
@@ -312,8 +313,22 @@ class TestAsym:
             tracemalloc.stop()
         assert peak < 1_000_000
 
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.integers(4, 300), min_size=1, max_size=4))
+    def test_stirling_points_equal_the_unsigned_triangle(self, ladder):
+        import bellnum.cli as cli
+
+        tri = exact.stirling_unsigned_rows(max(ladder))
+        points = cli._stirling_points(ladder)
+        assert sorted(points) == sorted(set(ladder))
+        for n, row in points.items():
+            assert list(row) == sorted({2, n // 2, n - 1})
+            assert all(v == tri.entry(n, k) for k, v in row.items())
+
     def test_stirling_small_n_fails_before_the_pass(self, capsys, monkeypatch):
-        monkeypatch.setattr(exact, "_stirling_rows", None)
+        import bellnum.cli as cli
+
+        monkeypatch.setattr(cli, "_stirling_points", None)
         code = main(["asym", "stirling", "900,3"])
         captured = capsys.readouterr()
         assert code == 2
@@ -381,6 +396,7 @@ class TestCaps:
             monkeypatch.setitem(cli.FAMILIES, name, dataclasses.replace(fam, build=refuse))
         for name in ("bell_numbers", "beta_numbers", "_stirling_rows"):
             monkeypatch.setattr(exact, name, refuse)
+        monkeypatch.setattr(cli, "_stirling_points", refuse)
         for name in cli.SUITES:
             monkeypatch.setitem(cli.SUITES, name, refuse)
 
@@ -687,7 +703,8 @@ class TestVerifyFailLines:
             "[first counterexample n=3]"]
 
     def test_first_counterexample_nk(self, capsys, monkeypatch):
-        self.off_at(monkeypatch, exact, "matsunaga_via_sum", (4, 2), lambda v: v + 1)
+        self.off_at(monkeypatch, exact, "_sum_form_row", (4,),
+                    lambda row: [v + (k == 2) for k, v in enumerate(row, start=1)])
         assert self.fail_lines(capsys, "identities", 12) == [
             "FAIL: sum form equals recurrence triangle (n<=12) "
             "[first counterexample (n,k)=(4, 2)]"]
