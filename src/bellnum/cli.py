@@ -388,23 +388,14 @@ def _stirling_points(ladder: list[int]) -> dict[int, dict[int, int]]:
     n of the ladder.
 
     k = 2 and k = n-1 have closed forms, ``(n-1)! H_(n-1)`` and ``C(n,2)``.
-    The middle points come from one pass over the rows of the unsigned
-    recurrence ``|s[n,k]| = |s[n-1,k-1]| + (n-1) |s[n-1,k]|`` that keeps,
-    one row at a time, only the band that reaches the largest n's middle
-    point: columns ``max(1, n - ceil(N/2)) .. min(n, N//2)`` of row n.
-    Every smaller n's middle point lies inside that band.
+    The middle points come from one banded pass over the Stirling rows
+    that holds one row at a time, cut to columns
+    ``max(1, n - ceil(N/2)) .. N//2`` for the largest n = N: every
+    middle point ``n//2`` of the ladder lies inside that band.
     """
     N, wanted = max(ladder), set(ladder)
-    half = N // 2
-    mids: dict[int, int] = {}
-    lo, band = 1, [1]  # row 1 from column 1
-    for n in range(2, N + 1):
-        # columns lo .. lo + len(band) of row n, then the band's own
-        row = [a + (n - 1) * b for a, b in zip([0] + band, band + [0])]
-        new_lo = max(1, n - (N - half))
-        band, lo = row[new_lo - lo:half - lo + 1], new_lo
-        if n in wanted:
-            mids[n] = band[n // 2 - lo]
+    band = exact._stirling_band(N, N - N // 2, N // 2)
+    mids = {n: abs(row[n // 2 - lo]) for n, (lo, row) in enumerate(band, start=1) if n in wanted}
     points = {}
     for n in ladder:
         f = factorial(n - 1)

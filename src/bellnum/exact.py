@@ -5,10 +5,10 @@ Everything in this module is computed with Python's native big integers
 equalities asserted elsewhere are exact, never approximate.  The module
 covers both eighteenth-century Bell-number procedures:
 
-* the Stirling-number pipeline: signed Stirling numbers of the first
-  kind, the singleton-free partition counts ``beta``, the Matsunaga
-  triangle ``M[n,k]``, and ``B_n = 1 + (1/n!) sum_k M[n,k] n^k`` by
-  Horner's rule;
+* the Stirling-number pipeline, which tabulates signed Stirling numbers
+  of the first kind, the singleton-free partition counts ``beta``, the
+  Matsunaga triangle ``M[n,k]``, and finally evaluates
+  ``B_n = 1 + (1/n!) * sum_k M[n,k] n^k`` by Horner's rule;
 * the binomial recurrence ``B_n = sum_k C(n-1,k) B_{n-1-k}``, carried
   out through the row table ``b[n,k] = C(n-1,k-1) B_{n-k}`` that trades
   space for time.
@@ -20,7 +20,8 @@ row alone, for callers that read a few rows.  Each is checked on the other.
 
 The Horner evaluation is instrumented (every partial accumulator and its
 bit length is recorded) because the intermediate values reach the scale
-of ``B_n * n!`` and cancel violently.
+of ``B_n * n!`` and cancel violently; the instrumentation makes that
+observable data rather than folklore.
 """
 
 from __future__ import annotations
@@ -243,6 +244,23 @@ def _stirling_rows(N: int) -> Iterator[tuple[int, ...]]:
         yield row
 
 
+def _stirling_band(N: int, width: int, hi: int) -> Iterator[tuple[int, tuple[int, ...]]]:
+    """Signed Stirling rows 1..N, row n cut to its columns
+    ``lo = max(1, n - width) .. min(n, hi)``: yields ``(lo, cut row)``.
+
+    Each cut row is built from the one before.  ``_stirling_next`` takes
+    the columns outside the cut as zero, so its first entry is wrong once
+    lo > 1 and its last once the row is wider than hi; the next cut drops
+    exactly those two.
+    """
+    lo, row = 1, (1,)
+    yield lo, row
+    for n in range(2, N + 1):
+        new_lo = max(1, n - width)
+        row, lo = _stirling_next(row, n)[new_lo - lo:hi - lo + 1], new_lo
+        yield lo, row
+
+
 def stirling_signed_row(n: int) -> tuple[int, ...]:
     """Signed Stirling row n alone: the last row of ``_stirling_rows(n)``,
     each earlier row dropped once the next one is built."""
@@ -343,26 +361,26 @@ def matsunaga_rows(N: int) -> TriangleTable:
     return TriangleTable("matsunaga", 1, 1, tuple(_PREFIX.matsunaga_upto(N)[:N]))
 
 
-def _sum_form_row(n: int, rising: bool = False) -> list[int]:
+def _sum_form_row(n: int) -> list[int]:
     """Row n of the sum form, ``M[n,k]`` for k = 1..n, without the recurrence.
 
     ``sum_k M[n,k] x^(k-1) = sum_j c_j (x-1)...(x-j+1)`` with the integer
     ``c_j = beta_j n!/j!``, by Horner's rule: ``H = c_n``, then
     ``H = c_j + (x - j) H`` down to j = 1, each step a small multiplier.
-    ``rising`` takes ``x + j`` and ``(-1)^(n-j) c_j``: the formula over |s|.
     """
     beta = _PREFIX.betas_upto(n)
     h, ratio = [beta[n]], 1  # ratio = n!/j!
     for j in range(n - 1, 0, -1):
         ratio *= j + 1
-        t = j if rising else -j
-        h = [a + t * b for a, b in zip([0] + h, h + [0])]
-        h[0] += -beta[j] * ratio if rising and (n - j) % 2 else beta[j] * ratio
+        h = [a - j * b for a, b in zip([0] + h, h + [0])]
+        h[0] += beta[j] * ratio
     return h
 
 
 def matsunaga_via_sum(n: int, k: int) -> int:
-    """``M[n,k]`` from the sum form, the unrolled triangle recurrence."""
+    """``M[n,k] = n! sum_{k<=j<=n} (beta_j / j!) s[j,k]``, the unrolled
+    form of the triangle recurrence, evaluated independently of it: entry
+    k of ``_sum_form_row(n)``."""
     if not 1 <= k <= n:
         raise IndexError(f"(n={n}, k={k}) outside triangle")
     return _sum_form_row(n)[k - 1]
@@ -392,8 +410,13 @@ def bell_matsunaga(n: int) -> HornerTrace:
     q, rem = divmod(inner, factorial(n))
     if rem:
         raise ArithmeticError(f"inner sum not divisible by {n}! at n={n}")
-    return HornerTrace(n=n, partial_values=tuple(partials), inner_sum=inner,
-                       max_bits=bits, result=q + 1)
+    return HornerTrace(
+        n=n,
+        partial_values=tuple(partials),
+        inner_sum=inner,
+        max_bits=bits,
+        result=q + 1,
+    )
 
 
 def bench_matsunaga_procedure(n: int) -> tuple[int, int]:
@@ -424,11 +447,15 @@ def weighted_matsunaga_rows(N: int) -> TriangleTable:
 def abs_matsunaga_row(n: int) -> list[int]:
     """The alternating-sign formula
     ``n! sum_{k<=j<=n} (-1)^(n-j) (beta_j / j!) |s[j,k]|`` for k = 1..n.
-    It equals ``|M[n,k]|`` except at (n,k) = (3,1), where it gives -1;
-    callers check for that one exceptional sign themselves."""
+
+    Since ``|s[j,k]| = (-1)^(j-k) s[j,k]``, entry k is ``(-1)^(n-k)``
+    times the sum form's ``M[n,k]``.  It equals ``|M[n,k]|`` everywhere
+    except (n,k) = (3,1), where it gives the negative of the true absolute
+    value; callers check for that one exceptional sign themselves.
+    """
     if n < 1:
         raise ValueError("n must be >= 1")
-    return _sum_form_row(n, True)
+    return [v if (n - k) % 2 == 0 else -v for k, v in enumerate(_sum_form_row(n), start=1)]
 
 
 def generalized_binomial(v: Fraction | int, m: int) -> Fraction:

@@ -8,7 +8,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from bellnum.cli import main
 from bellnum import exact
@@ -288,13 +288,15 @@ class TestAsym:
         assert code == 0
         assert [int(line.split(",")[1]) for line in out.strip().splitlines()[1:]] == ks
 
-    def test_stirling_points_equal_triangle_entries(self):
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.integers(4, 300), min_size=1, max_size=4))
+    @example([4, 5, 30, 9, 30])
+    def test_stirling_points_equal_triangle_entries(self, ladder):
         import bellnum.cli as cli
 
-        ladder = [4, 5, 30, 9, 30]
-        tri = exact.stirling_unsigned_rows(30)
+        tri = exact.stirling_unsigned_rows(max(ladder))
         points = cli._stirling_points(ladder)
-        assert sorted(points) == [4, 5, 9, 30]
+        assert sorted(points) == sorted(set(ladder))
         for n, row in points.items():
             assert list(row) == sorted({2, n // 2, n - 1})
             assert all(v == tri.entry(n, k) for k, v in row.items())
@@ -312,18 +314,6 @@ class TestAsym:
         finally:
             tracemalloc.stop()
         assert peak < 1_000_000
-
-    @settings(max_examples=40, deadline=None)
-    @given(st.lists(st.integers(4, 300), min_size=1, max_size=4))
-    def test_stirling_points_equal_the_unsigned_triangle(self, ladder):
-        import bellnum.cli as cli
-
-        tri = exact.stirling_unsigned_rows(max(ladder))
-        points = cli._stirling_points(ladder)
-        assert sorted(points) == sorted(set(ladder))
-        for n, row in points.items():
-            assert list(row) == sorted({2, n // 2, n - 1})
-            assert all(v == tri.entry(n, k) for k, v in row.items())
 
     def test_stirling_small_n_fails_before_the_pass(self, capsys, monkeypatch):
         import bellnum.cli as cli
@@ -705,9 +695,12 @@ class TestVerifyFailLines:
     def test_first_counterexample_nk(self, capsys, monkeypatch):
         self.off_at(monkeypatch, exact, "_sum_form_row", (4,),
                     lambda row: [v + (k == 2) for k, v in enumerate(row, start=1)])
+        # abs_matsunaga_row is the sum-form row with signs, so both checks see the fault
         assert self.fail_lines(capsys, "identities", 12) == [
             "FAIL: sum form equals recurrence triangle (n<=12) "
-            "[first counterexample (n,k)=(4, 2)]"]
+            "[first counterexample (n,k)=(4, 2)]",
+            "FAIL: alternating |M| formula, exception exactly (3,1) (n<=12) "
+            "[violated at (n,k)=(4, 2)]"]
 
     def test_first_counterexample_nv(self, capsys, monkeypatch):
         from fractions import Fraction
