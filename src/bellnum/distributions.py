@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from math import comb
 from typing import Callable, Sequence
 
@@ -133,8 +134,9 @@ def matsunaga_closed_moments(n: int) -> tuple[Fraction, Fraction]:
     if n < 4:
         raise ValueError("closed moments require n >= 4")
     beta = beta_numbers(n)
-    H1 = [harmonic(i, 1) for i in range(n + 1)]
-    H2 = [harmonic(i, 2) for i in range(n + 1)]
+    # H_0..H_n as running sums of 1/i and 1/i^2
+    H1 = list(accumulate((Fraction(1, i) for i in range(1, n + 1)), initial=Fraction(0)))
+    H2 = list(accumulate((Fraction(1, i * i) for i in range(1, n + 1)), initial=Fraction(0)))
     den = Fraction(0)
     num1 = Fraction(0)
     num2 = Fraction(0)
@@ -175,13 +177,14 @@ def weighted_matsunaga_closed_mean(n: int) -> Fraction:
     if n < 4:
         raise ValueError("closed mean requires n >= 4")
     beta = beta_numbers(n)
-    Hn1 = harmonic(n - 1, 1)
+    Hn1 = H = harmonic(n - 1, 1)
     num = Fraction(0)
     den = Fraction(0)
-    for j in range(n):
+    for j in range(n - 1, -1, -1):
+        H += Fraction(1, 2 * n - j - 1)  # the running sum H_{2n-j-1}
         b = comb(2 * n - 1 - j, n - j) * (-1) ** j * beta[n - j]
         den += b
-        num += b * (harmonic(2 * n - j - 1, 1) - Hn1)
+        num += b * (H - Hn1)
     return n * num / den
 
 
@@ -268,11 +271,7 @@ def _poly_product(factors: Sequence[tuple[int, int]]) -> list[int]:
     """Coefficients of ``prod (a + b z)`` over exact integers."""
     coeffs = [1]
     for a, b in factors:
-        new = [0] * (len(coeffs) + 1)
-        for i, c in enumerate(coeffs):
-            new[i] += a * c
-            new[i + 1] += b * c
-        coeffs = new
+        coeffs = [a * c + b * d for c, d in zip(coeffs + [0], [0] + coeffs)]
     return coeffs
 
 

@@ -51,7 +51,6 @@ __all__ = [
     "bench_arima_procedure",
     "weighted_matsunaga_rows",
     "abs_matsunaga_row",
-    "generalized_binomial",
     "pnv_eval",
     "pnv_closed",
     "pn_at_n",
@@ -362,29 +361,41 @@ def matsunaga_rows(N: int) -> TriangleTable:
     return TriangleTable("matsunaga", 1, 1, tuple(_PREFIX.matsunaga_upto(N)[:N]))
 
 
-def _sum_form_row(n: int) -> list[int]:
-    """Row n of the sum form, ``M[n,k]`` for k = 1..n, without the recurrence.
+def _sum_form_row(n: int, first: int = 1, last: int | None = None) -> list[int]:
+    """Row n of the sum form, ``M[n,k]`` for k = first..last (default the
+    whole row, 1..n), without the recurrence.
 
     ``sum_k M[n,k] x^(k-1) = sum_j c_j (x-1)...(x-j+1)`` with the integer
     ``c_j = beta_j n!/j!``, by Horner's rule: ``H = c_n``, then
     ``H = c_j + (x - j) H`` down to j = 1, each step a small multiplier.
+    A coefficient of x^i after step j reaches only x^i .. x^(i+j-1), so
+    each step keeps ``max(0, first - j) .. last - 1``, cut as
+    ``_stirling_band`` cuts Stirling rows: the step takes the dropped
+    coefficients as zero, which spoils only the ends the cut drops.
     """
+    last = n if last is None else last
     beta = _PREFIX.betas_upto(n)
-    h, ratio = [beta[n]], 1  # ratio = n!/j!
+    cut = first > 1 or last < n  # cutting the whole row would only cost it (up to 17 %)
+    h, lo, ratio = [beta[n]], 0, 1  # h[i] is the coefficient of x^(lo+i); ratio = n!/j!
     for j in range(n - 1, 0, -1):
-        ratio *= j + 1
         h = [a - j * b for a, b in zip([0] + h, h + [0])]
-        h[0] += beta[j] * ratio
+        if j >= first:
+            ratio *= j + 1
+            h[0] += beta[j] * ratio
+        if cut:
+            new_lo = max(0, first - j)
+            h, lo = h[new_lo - lo:last - lo], new_lo
     return h
 
 
 def matsunaga_via_sum(n: int, k: int) -> int:
     """``M[n,k] = n! sum_{k<=j<=n} (beta_j / j!) s[j,k]``, the unrolled
-    form of the triangle recurrence, evaluated independently of it: entry
-    k of ``_sum_form_row(n)``."""
+    form of the triangle recurrence, evaluated independently of it: the
+    band k..k of ``_sum_form_row(n)``, which carries only the
+    coefficients that can still reach entry k."""
     if not 1 <= k <= n:
         raise IndexError(f"(n={n}, k={k}) outside triangle")
-    return _sum_form_row(n)[k - 1]
+    return _sum_form_row(n, k, k)[0]
 
 
 def bell_matsunaga(n: int) -> HornerTrace:
@@ -459,18 +470,6 @@ def abs_matsunaga_row(n: int) -> list[int]:
     return [v if (n - k) % 2 == 0 else -v for k, v in enumerate(_sum_form_row(n), start=1)]
 
 
-def generalized_binomial(v: Fraction | int, m: int) -> Fraction:
-    """``C(v, m) = v (v-1) ... (v-m+1) / m!`` for rational v, integer m >= 0."""
-    if m < 0:
-        raise ValueError("m must be >= 0")
-    v = Fraction(v)
-    p, q = v.numerator, v.denominator
-    num = 1
-    for i in range(m):
-        num *= p - i * q
-    return Fraction(num, q**m * factorial(m))
-
-
 def pnv_eval(n: int, v: Fraction | int) -> Fraction:
     """``P_n(v) = sum_k |M[n,k]| v^k`` by direct summation."""
     if n < 1:
@@ -481,16 +480,22 @@ def pnv_eval(n: int, v: Fraction | int) -> Fraction:
     return Fraction(sum(abs(c) * p**k * q ** (n - k) for k, c in enumerate(row, start=1)), q**n)
 
 
-def _pnv_closed_int(n: int, v: int) -> int:
-    """The closed form of ``P_n(v)`` for integer v, in integers: the
-    binomial of a negative top x is ``(-1)^m C(m-x-1, m)``."""
+def _pnv_scaled(n: int, p: int, q: int) -> int:
+    """``q^n P_n(p/q)`` by the closed form, in integers.
+
+    With m = n - j, ``C(v+m-1, m) = R_m / (m! q^m)`` for the rising
+    product ``R_m = p (p+q) ... (p+(m-1)q)``, so
+    ``q^n P_n(p/q) = sum_{1<=m<=n} (-1)^(n-m) beta_m R_m (n!/m!) q^(n-m)``
+    (the m = 1 term is zero), summed by Horner's rule over m:
+    ``T = beta_m R_m - m q T``.  The paper's form holds from n = 4 on; the
+    routine evaluates it at any n >= 1.
+    """
     beta = _PREFIX.betas_upto(n)
-    total = 0
-    for j in range(n - 1):
-        x, m = v + n - j - 1, n - j
-        c = comb(x, m) if x >= 0 else (-1) ** m * comb(m - x - 1, m)
-        total += c * (-1) ** j * beta[m]
-    return total * factorial(n)
+    total, rising = 0, 1
+    for m in range(1, n + 1):
+        rising *= p + (m - 1) * q
+        total = beta[m] * rising - m * q * total
+    return total
 
 
 def pnv_closed(n: int, v: Fraction | int) -> Fraction:
@@ -502,12 +507,7 @@ def pnv_closed(n: int, v: Fraction | int) -> Fraction:
     if n < 4:
         raise ValueError("closed form requires n >= 4")
     v = Fraction(v)
-    if v.denominator == 1:
-        return Fraction(_pnv_closed_int(n, v.numerator))
-    beta = _PREFIX.betas_upto(n)
-    total = sum((generalized_binomial(v + n - j - 1, n - j) * ((-1) ** j * beta[n - j])
-                 for j in range(n - 1)), Fraction(0))
-    return total * factorial(n)
+    return Fraction(_pnv_scaled(n, v.numerator, v.denominator), v.denominator**n)
 
 
 def pn_at_n(N: int) -> tuple[list[int], list[int]]:
@@ -521,7 +521,7 @@ def pn_at_n(N: int) -> tuple[list[int], list[int]]:
     values = [0]
     normalized = [0]
     for n in range(1, N + 1):
-        p = pnv_eval(n, n).numerator if n < 4 else _pnv_closed_int(n, n)
+        p = pnv_eval(n, n).numerator if n < 4 else _pnv_scaled(n, n, 1)
         q, rem = divmod(p, factorial(n))
         if rem:
             raise ArithmeticError(f"P_{n}({n}) not divisible by {n}!")
@@ -578,14 +578,15 @@ def poisson_moments(mean: int, N: int) -> list[int]:
 
 def arima_rows(N: int) -> TriangleTable:
     """Arima triangle rows 1..N: ``A[n,k] = C(n,k) B_{n-k}`` for k = 0..n;
-    row n sums to B_{n+1}."""
+    row n sums to B_{n+1}.  The binomials come row by row from Pascal's rule."""
     if N < 1:
         raise ValueError("N must be >= 1")
     bells = _PREFIX.bells_upto(N)
-    rows = tuple(
-        tuple(comb(n, k) * bells[n - k] for k in range(n + 1)) for n in range(1, N + 1)
-    )
-    return TriangleTable("arima", 1, 0, rows)
+    rows, binomials = [], [1]
+    for n in range(1, N + 1):
+        binomials = [a + b for a, b in zip([0] + binomials, binomials + [0])]
+        rows.append(tuple(map(mul, binomials, bells[n::-1])))
+    return TriangleTable("arima", 1, 0, tuple(rows))
 
 
 def solve_bell_inverse(target: int) -> int | None:

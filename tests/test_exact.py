@@ -10,7 +10,7 @@ from fractions import Fraction
 from math import comb, factorial
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from bellnum import exact
 
@@ -192,10 +192,11 @@ class TestMatsunagaTriangle:
         assert exact.matsunaga_via_sum(5, 5) == 11
         assert exact.matsunaga_via_sum(6, 3) == -7515
 
-    def test_sum_form_full_triangle(self, matsunaga25):
-        for n in range(1, 26):
+    def test_sum_form_full_triangle(self):
+        m = exact.matsunaga_rows(80)
+        for n in range(1, 81):
             for k in range(1, n + 1):
-                assert exact.matsunaga_via_sum(n, k) == matsunaga25.entry(n, k)
+                assert exact.matsunaga_via_sum(n, k) == m.entry(n, k)
 
     def test_sum_form_rejects_outside(self):
         with pytest.raises(IndexError):
@@ -205,6 +206,18 @@ class TestMatsunagaTriangle:
         m = exact.matsunaga_rows(120)
         for n in range(1, 121):
             assert exact._sum_form_row(n) == list(m.row(n))
+
+    # a band is three sorted draws: 1 <= first <= last <= n <= 120
+    @given(st.lists(st.integers(min_value=1, max_value=120), min_size=3, max_size=3).map(sorted))
+    @example([1, 1, 1])
+    @example([1, 120, 120])
+    @example([1, 1, 120])
+    @example([120, 120, 120])
+    @example([2, 119, 120])
+    @settings(max_examples=80, deadline=None)
+    def test_sum_form_band_is_a_slice_of_the_row(self, band):
+        first, last, n = band
+        assert exact._sum_form_row(n, first, last) == exact._sum_form_row(n)[first - 1:last]
 
 
 class TestHornerProcedure:
@@ -304,49 +317,39 @@ class TestGeneratingPolynomial:
                 assert exact.pnv_closed(n, v) == exact.pnv_eval(n, v)
 
     @given(
-        st.integers(min_value=4, max_value=12),
-        st.fractions(min_value=-4, max_value=4, max_denominator=12),
+        st.integers(min_value=4, max_value=40),
+        st.one_of(st.integers(min_value=-60, max_value=60),
+                  st.fractions(min_value=-4, max_value=4, max_denominator=12)),
     )
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=100, deadline=None)
     def test_closed_equals_direct_property(self, n, v):
         assert exact.pnv_closed(n, v) == exact.pnv_eval(n, v)
 
     def test_pn_at_n_lists(self):
-        vals, norm = exact.pn_at_n(10)
+        vals, norm = exact.pn_at_n(40)
         assert vals[1:8] == PN_AT_N
-        assert norm[1:] == PN_NORM
+        assert norm[1:11] == PN_NORM
+        for n in range(1, 41):
+            assert vals[n] == exact.pnv_eval(n, n)
 
     def test_pn_at_n_row2_from_weights(self):
         # row 2 of the M table is (-1, 1); weights 2^k give 2 + 4
         assert exact.pnv_eval(2, 2) == 6
 
-    def test_generalized_binomial(self):
-        assert exact.generalized_binomial(Fraction(7, 2), 2) == Fraction(35, 8)
-        assert exact.generalized_binomial(5, 0) == 1
-        with pytest.raises(ValueError):
-            exact.generalized_binomial(1, -1)
-
-    def test_scaled_closed_form_also_holds_at_two(self, betas):
+    def test_scaled_closed_form_also_holds_at_two(self):
         # the nv-scaled identity P_n(nv)/n! = sum_j C(vn+n-j-1, n-j)
         # (-1)^j beta_{n-j} is stated away from n = 3 only; the n = 2
-        # case is not exemplified anywhere, so verify it numerically
+        # case is not exemplified anywhere, so verify it numerically,
+        # with the closed form's integer routine as the right-hand side
         n = 2
         for v in (Fraction(1), Fraction(2), Fraction(-1, 3), Fraction(7, 2)):
-            rhs = sum(
-                exact.generalized_binomial(v * n + n - j - 1, n - j)
-                * ((-1) ** j * betas[n - j])
-                for j in range(n)
-            ) * factorial(n)
-            assert exact.pnv_eval(n, v * n) == rhs
+            w = v * n
+            rhs = Fraction(exact._pnv_scaled(n, w.numerator, w.denominator), w.denominator**n)
+            assert exact.pnv_eval(n, w) == rhs
         # and n = 3 really is broken: v = 1 gives P_3(3) = 30 but the
         # formula gives a different value
-        n = 3
-        rhs3 = sum(
-            exact.generalized_binomial(3 + n - j - 1, n - j) * ((-1) ** j * betas[n - j])
-            for j in range(n)
-        ) * factorial(n)
         assert exact.pnv_eval(3, 3) == 30
-        assert rhs3 != 30
+        assert exact._pnv_scaled(3, 3, 1) != 30
 
 
 class TestShapes:
@@ -401,6 +404,11 @@ class TestArima:
 
     def test_row7_sum(self):
         assert sum(exact.arima_rows(7).row(7)) == 4140
+
+    def test_pascal_rows_equal_the_binomial_products(self, bells):
+        t = exact.arima_rows(200)
+        for n in range(1, 201):
+            assert t.row(n) == tuple(comb(n, k) * bells[n - k] for k in range(n + 1))
 
 
 class TestBellInverse:
