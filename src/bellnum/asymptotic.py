@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .exact import poisson_moments
 
@@ -26,8 +25,6 @@ __all__ = [
     "lambert_w",
     "digamma",
     "trigamma",
-    "harmonic",
-    "HARMONIC_EXACT_CAP",
     "beta_asym",
     "bell_asym",
     "tilde_bell_exact",
@@ -43,21 +40,18 @@ __all__ = [
 
 EULER_GAMMA = 0.5772156649015328606
 
-HARMONIC_EXACT_CAP = 10_000
-
 
 @dataclass(frozen=True)
 class ApproxValue:
     """A floating approximation together with its claimed error order.
 
-    Exactly one of ``value`` / ``log_value`` is set; ``log_value`` is
-    used whenever the quantity outgrows double range.  ``saddle`` and
-    ``regime`` carry diagnostics for the saddle-point-backed formulas.
+    ``log_value`` is the natural logarithm of the approximation, since
+    the quantities outgrow double range.  ``saddle`` and ``regime``
+    carry diagnostics for the saddle-point-backed formulas.
     """
 
     error_order: str
-    value: float | None = None
-    log_value: float | None = None
+    log_value: float
     regime: str | None = None
     saddle: "SaddlePoint | None" = None
 
@@ -145,36 +139,6 @@ def trigamma(x: float) -> float:
         )
     )
     return acc + inv * series
-
-
-def harmonic(n: int, m: int = 1) -> Fraction | float:
-    """Generalized harmonic number ``H_n^[m] = sum_{j<=n} j^-m``.
-
-    Exact rational up to n = 10^4 (divide-and-conquer summation, one
-    final reduction); floating beyond, via digamma/trigamma for
-    m = 1, 2 and a plain float sum otherwise.
-    """
-    if n < 0 or m < 1:
-        raise ValueError("need n >= 0 and m >= 1")
-    if n == 0:
-        return Fraction(0)
-    if n <= HARMONIC_EXACT_CAP:
-
-        def rec(a: int, b: int) -> tuple[int, int]:
-            if a == b:
-                return 1, a**m
-            mid = (a + b) // 2
-            n1, d1 = rec(a, mid)
-            n2, d2 = rec(mid + 1, b)
-            return n1 * d2 + n2 * d1, d1 * d2
-
-        num, den = rec(1, n)
-        return Fraction(num, den)
-    if m == 1:
-        return digamma(n + 1.0) + EULER_GAMMA
-    if m == 2:
-        return math.pi**2 / 6.0 - trigamma(n + 1.0)
-    return float(sum(j ** (-m) for j in range(1, n + 1)))
 
 
 def beta_asym(n: int) -> ApproxValue:

@@ -245,7 +245,7 @@ def _identities(N: int) -> list[Check]:
               lambda nv: exact.pnv_eval(*nv) == exact.pnv_closed(*nv),
               "first counterexample (n,v)="),
         Check(f"beta_(n+1)/(n+1) >= beta_n/n (3<=n<={top})", range(3, top + 1),
-              lambda n: Fraction(beta[n + 1], n + 1) >= Fraction(beta[n], n)),
+              lambda n: n * beta[n + 1] >= (n + 1) * beta[n]),
         Check(f"|s[n+1,k]| >= n |s[n,k]| (n<={c25})", _triangle(c25),
               lambda nk: s.entry(nk[0] + 1, nk[1]) >= nk[0] * s.entry(*nk),
               "first counterexample (n,k)="),
@@ -354,6 +354,8 @@ def cmd_verify(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
     N = args.N
     if suite not in VERIFY_SUITES:
         raise UsageError(f"unknown suite {suite!r}; choose from {', '.join(VERIFY_SUITES)}")
+    if N < 1:
+        raise UsageError("N must be >= 1")
     _check_cap(args, N, VERIFY_CAP)
     lines = []
     n_fail = 0
@@ -448,10 +450,10 @@ def cmd_asym(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
         betas = exact.beta_numbers(top)
         for n in ladder:
             for l in (1, 2):
-                ex = Fraction(betas[n - l], betas[n])
+                ex = betas[n - l] / betas[n]
                 ap = beta_ratio_asym(n, l)
-                rows.append([n, l, f"{float(ex):.6e}", f"{ap:.6e}",
-                             f"{abs(ap / float(ex) - 1):.3e}", "O(n^-1 l^2 log n)"])
+                rows.append([n, l, f"{ex:.6e}", f"{ap:.6e}",
+                             f"{abs(ap / ex - 1):.3e}", "O(n^-1 l^2 log n)"])
         return 0, _render(args.format,
                           ["n", "l", "exact_ratio", "approx_ratio", "rel_error", "order"],
                           rows, "asym-beta-ratio")

@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
 from math import comb
 from typing import Callable, Sequence
 
@@ -26,7 +25,7 @@ from .exact import (
     poisson_moments,
     stirling_signed_row,
 )
-from .asymptotic import EULER_GAMMA, harmonic, lambert_w
+from .asymptotic import EULER_GAMMA, lambert_w
 
 __all__ = [
     "DiscretePMF",
@@ -130,23 +129,27 @@ def matsunaga_pmf(n: int) -> DiscretePMF:
 
 def matsunaga_closed_moments(n: int) -> tuple[Fraction, Fraction]:
     """Closed-form mean and variance of the |M[n,k]| distribution via
-    alternating beta/harmonic sums; valid from n = 4."""
+    alternating beta/harmonic sums; valid from n = 4.
+
+    The sums run in integers over one denominator: with L = lcm(1..n),
+    ``L H_i`` and ``L^2 H_i^(2)`` are integer running sums."""
     if n < 4:
         raise ValueError("closed moments require n >= 4")
     beta = beta_numbers(n)
-    # H_0..H_n as running sums of 1/i and 1/i^2
-    H1 = list(accumulate((Fraction(1, i) for i in range(1, n + 1)), initial=Fraction(0)))
-    H2 = list(accumulate((Fraction(1, i * i) for i in range(1, n + 1)), initial=Fraction(0)))
-    den = Fraction(0)
-    num1 = Fraction(0)
-    num2 = Fraction(0)
-    for j in range(n - 1):
-        term = (-1) ** j * beta[n - j]
+    L = math.lcm(*range(1, n + 1))
+    h1, h2 = L, L * L  # L H_1, L^2 H_1^(2)
+    den = num1 = num2 = 0
+    for i in range(2, n + 1):
+        q = L // i
+        h1 += q
+        h2 += q * q
+        term = (-1) ** (n - i) * beta[i]
         den += term
-        num1 += term * H1[n - j]
-        num2 += term * (H1[n - j] ** 2 - H2[n - j])
-    mean = num1 / den
-    var = num2 / den - mean * mean + mean
+        num1 += term * h1
+        num2 += term * (h1 * h1 - h2)
+    # mean = num1 / (L den); var = num2 / (L^2 den) - mean^2 + mean
+    mean = Fraction(num1, L * den)
+    var = Fraction(num2 * den - num1 * num1 + num1 * L * den, (L * den) ** 2)
     return mean, var
 
 
@@ -177,15 +180,14 @@ def weighted_matsunaga_closed_mean(n: int) -> Fraction:
     if n < 4:
         raise ValueError("closed mean requires n >= 4")
     beta = beta_numbers(n)
-    Hn1 = H = harmonic(n - 1, 1)
-    num = Fraction(0)
-    den = Fraction(0)
+    L = math.lcm(*range(n, 2 * n))
+    h = num = den = 0
     for j in range(n - 1, -1, -1):
-        H += Fraction(1, 2 * n - j - 1)  # the running sum H_{2n-j-1}
+        h += L // (2 * n - j - 1)  # the running sum L (H_{2n-j-1} - H_{n-1})
         b = comb(2 * n - 1 - j, n - j) * (-1) ** j * beta[n - j]
         den += b
-        num += b * (H - Hn1)
-    return n * num / den
+        num += b * h
+    return Fraction(n * num, L * den)
 
 
 def weighted_matsunaga_asym_moments(n: int) -> tuple[float, float]:

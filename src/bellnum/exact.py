@@ -163,8 +163,9 @@ class PartitionShape:
 
 
 class _Prefixes:
-    """Growing prefixes of B, beta, the Poisson moments and the Matsunaga
-    rows, each extended on demand and never recomputed.
+    """Growing prefixes of beta, the Poisson moments and the Matsunaga
+    rows, each extended on demand and never recomputed.  B is the Poisson
+    prefix at mean 1.
 
     Public functions hand out list copies or ``TriangleTable`` views of
     the rows (tuples), so no caller can alter a prefix.  The signed
@@ -174,8 +175,6 @@ class _Prefixes:
     """
 
     def __init__(self) -> None:
-        self.bells = [1]  # B_0, B_1, ... from Aitken's array
-        self.aitken_row = [1]  # the array's row whose first entry is bells[-1]
         self.betas = [1]  # beta_0, beta_1, ... from the splitting identity
         # mean -> (raw moments 0, 1, ..., the array row whose first entry is the last moment)
         self.poisson: dict[int, tuple[list[int], list[int]]] = {}
@@ -183,8 +182,7 @@ class _Prefixes:
         self.matsunaga_s = (1,)  # signed Stirling row of M's last row
 
     def bells_upto(self, N: int) -> list[int]:
-        self.aitken_row = _aitken_extend(self.bells, self.aitken_row, 1, N)
-        return self.bells
+        return self.poisson_upto(1, N)
 
     def betas_upto(self, N: int) -> list[int]:
         betas, bells = self.betas, self.bells_upto(N - 1)
@@ -602,4 +600,4 @@ def solve_bell_inverse(target: int) -> int | None:
     n = 1
     while _PREFIX.bells_upto(n)[n] < target:
         n += 1
-    return n if _PREFIX.bells[n] == target else None
+    return n if _PREFIX.bells_upto(n)[n] == target else None

@@ -57,39 +57,19 @@ class TestSpecialFunctions:
 
     def test_digamma_vs_harmonic(self):
         for n in (1, 5, 17, 120):
-            hn = float(asy.harmonic(n, 1))
+            hn = float(sum(Fraction(1, j) for j in range(1, n + 1)))
             assert asy.digamma(n + 1.0) == pytest.approx(hn - asy.EULER_GAMMA, abs=1e-12)
 
     def test_trigamma_identities(self):
         assert asy.trigamma(1.0) == pytest.approx(math.pi**2 / 6, abs=1e-12)
         for n in (3, 9, 40):
-            h2 = float(asy.harmonic(n, 2))
+            h2 = float(sum(Fraction(1, j**2) for j in range(1, n + 1)))
             assert asy.trigamma(n + 1.0) == pytest.approx(math.pi**2 / 6 - h2, abs=1e-12)
 
     def test_domain(self):
         for fn in (asy.digamma, asy.trigamma):
             with pytest.raises(ValueError):
                 fn(0.0)
-
-    def test_harmonic_exact(self):
-        assert asy.harmonic(5, 1) == Fraction(137, 60)
-        assert asy.harmonic(5, 2) == Fraction(5269, 3600)
-        assert asy.harmonic(0, 1) == 0
-        assert isinstance(asy.harmonic(asy.HARMONIC_EXACT_CAP // 10, 1), Fraction)
-
-    def test_harmonic_float_beyond_cap(self):
-        h = asy.harmonic(asy.HARMONIC_EXACT_CAP + 5, 1)
-        assert isinstance(h, float)
-        # compare against digamma route at the same point
-        assert h == pytest.approx(
-            asy.digamma(asy.HARMONIC_EXACT_CAP + 6.0) + asy.EULER_GAMMA, abs=1e-12
-        )
-
-    def test_harmonic_domain(self):
-        with pytest.raises(ValueError):
-            asy.harmonic(-1, 1)
-        with pytest.raises(ValueError):
-            asy.harmonic(3, 0)
 
 
 class TestBetaApprox:

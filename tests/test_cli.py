@@ -199,6 +199,16 @@ class TestVerify:
     def test_unknown_suite(self, capsys):
         assert run(capsys, "verify", "nothing", "5")[0] == 2
 
+    @pytest.mark.parametrize("suite", ["identities", "oracle", "variants", "all"])
+    @pytest.mark.parametrize("n", ["0", "-3"])
+    def test_n_below_one_is_usage_error(self, capsys, suite, n):
+        # every suite refuses an empty run, rather than report 0 checks as success
+        code = main(["verify", suite, n])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == "error: N must be >= 1\n"
+        assert captured.out == ""
+
     @pytest.mark.parametrize("suite, n, skipped", [
         ("identities", "3", [
             "skip: closed P_n(v) equals direct P_n(v) on rational grid",
@@ -481,12 +491,12 @@ class TestBench:
         seen = []
 
         def procedure(n):
-            seen.append((len(exact._PREFIX.bells), len(exact._PREFIX.matsunaga)))
+            seen.append((len(exact._PREFIX.poisson), len(exact._PREFIX.matsunaga)))
             return cli.exact.bell_matsunaga(n).result, 0
 
         monkeypatch.setattr(exact, "bench_matsunaga_procedure", procedure)
         assert run(capsys, "bench", "16", "--repeats", "3")[0] == 0
-        assert seen == [(1, 1)] * 12
+        assert seen == [(0, 1)] * 12
 
 
 class TestOeisCheck:
@@ -626,7 +636,7 @@ class TestVerifyIndependence:
         # beta derived afterwards from the corrupted B agrees with it, so
         # only the binomial route can catch the fault
         exact.bell_numbers(6)
-        exact._PREFIX.bells[6] += 1
+        exact._PREFIX.poisson[1][0][6] += 1
         code, line = self._line(capsys)
         assert code == 1
         assert line == "FAIL: splitting B_n = beta_(n+1) + beta_n (n<=12) [first counterexample n=6]"
@@ -749,3 +759,12 @@ class TestVerifyFailLines:
         assert self.fail_lines(capsys, "variants", 6) == [
             "FAIL: two-route moments (closed forms = direct, 4<=n<=6) "
             "[first counterexample ('weighted-matsunaga', 5)]"]
+
+    def test_two_route_tuple_moments(self, capsys, monkeypatch):
+        import bellnum.cli as cli
+
+        self.off_at(monkeypatch, cli, "matsunaga_closed_moments", (5,),
+                    lambda v: (v[0] + 1, v[1]))
+        assert self.fail_lines(capsys, "variants", 6) == [
+            "FAIL: two-route moments (closed forms = direct, 4<=n<=6) "
+            "[first counterexample ('matsunaga', 5)]"]

@@ -3,6 +3,7 @@ and the lattice Gaussian deviation machinery."""
 
 import math
 from fractions import Fraction
+from itertools import accumulate
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -166,7 +167,8 @@ class TestStirlingCycleMoments:
     def test_exact_harmonic_moments(self, stirling26):
         # the plain cycle-count distribution |s[n,k]|/n! has mean H_n
         # and variance H_n - H_n^[2], exactly
-        from bellnum.asymptotic import harmonic
+        def harmonic(n, m):
+            return sum(Fraction(1, j**m) for j in range(1, n + 1))
 
         for n in (2, 5, 11, 20):
             pmf = dist.pmf_from_weights(1, stirling26.row(n), name=f"cycles[{n}]")
@@ -261,9 +263,39 @@ def _family_pmfs(top=40):
                 continue
 
 
+def closed_moments_reference(n):
+    """The |M[n,k]| mean and variance as alternating beta/harmonic sums,
+    reduced as one Fraction per term."""
+    beta = exact.beta_numbers(n)
+    H1 = list(accumulate((Fraction(1, i) for i in range(1, n + 1)), initial=Fraction(0)))
+    H2 = list(accumulate((Fraction(1, i * i) for i in range(1, n + 1)), initial=Fraction(0)))
+    den = num1 = num2 = Fraction(0)
+    for j in range(n - 1):
+        term = (-1) ** j * beta[n - j]
+        den += term
+        num1 += term * H1[n - j]
+        num2 += term * (H1[n - j] ** 2 - H2[n - j])
+    mean = num1 / den
+    return mean, num2 / den - mean * mean + mean
+
+
+def weighted_closed_mean_reference(n):
+    """The n^k-weighted mean as a beta/harmonic sum, reduced as one
+    Fraction per term."""
+    beta = exact.beta_numbers(n)
+    Hn1 = H = sum(Fraction(1, j) for j in range(1, n))
+    num = den = Fraction(0)
+    for j in range(n - 1, -1, -1):
+        H += Fraction(1, 2 * n - j - 1)  # H_{2n-j-1}
+        b = math.comb(2 * n - 1 - j, n - j) * (-1) ** j * beta[n - j]
+        den += b
+        num += b * (H - Hn1)
+    return n * num / den
+
+
 class TestIntegerRoutes:
-    """The integer moment sums and float probabilities against the
-    per-point Fraction routes they replace."""
+    """The integer moment sums, closed forms and float probabilities
+    against the Fraction routes they replace."""
 
     def test_moments_equal_per_point_fraction_sums(self):
         seen = set()
@@ -280,6 +312,11 @@ class TestIntegerRoutes:
         for name, n, pmf in _family_pmfs():
             for w in pmf.weights:
                 assert w / pmf.total == float(Fraction(w, pmf.total)), (name, n, w)
+
+    def test_closed_forms_equal_per_term_fraction_sums(self):
+        for n in range(4, 201):
+            assert dist.matsunaga_closed_moments(n) == closed_moments_reference(n), n
+            assert dist.weighted_matsunaga_closed_mean(n) == weighted_closed_mean_reference(n), n
 
 
 class TestLLTReports:
