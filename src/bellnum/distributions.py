@@ -182,9 +182,11 @@ def weighted_matsunaga_closed_mean(n: int) -> Fraction:
     beta = beta_numbers(n)
     L = math.lcm(*range(n, 2 * n))
     h = num = den = 0
+    c = 1
     for j in range(n - 1, -1, -1):
         h += L // (2 * n - j - 1)  # the running sum L (H_{2n-j-1} - H_{n-1})
-        b = comb(2 * n - 1 - j, n - j) * (-1) ** j * beta[n - j]
+        c = c * (2 * n - 1 - j) // (n - j)  # C(2n-1-j, n-j) from its value at j + 1
+        b = c * (-1) ** j * beta[n - j]
         den += b
         num += b * h
     return Fraction(n * num, L * den)

@@ -31,7 +31,7 @@ from fractions import Fraction
 from itertools import accumulate, repeat
 from math import comb, factorial
 from operator import mul
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Sequence
 
 __all__ = [
     "TriangleTable",
@@ -54,7 +54,6 @@ __all__ = [
     "pnv_eval",
     "pnv_closed",
     "pn_at_n",
-    "integer_partitions",
     "bell_polynomial_coefficient",
     "bell_via_shapes",
     "poisson_moments",
@@ -145,17 +144,6 @@ class PartitionShape:
             if size <= last or count < 1:
                 raise ValueError(f"invalid shape {self.counts!r}")
             last = size
-
-    @classmethod
-    def from_mapping(cls, multiplicities: Mapping[int, int]) -> "PartitionShape":
-        return cls(tuple(sorted((s, c) for s, c in multiplicities.items() if c)))
-
-    @classmethod
-    def from_block_sizes(cls, sizes: Sequence[int]) -> "PartitionShape":
-        m: dict[int, int] = {}
-        for s in sizes:
-            m[s] = m.get(s, 0) + 1
-        return cls.from_mapping(m)
 
     @property
     def n(self) -> int:
@@ -528,20 +516,16 @@ def pn_at_n(N: int) -> tuple[list[int], list[int]]:
     return values, normalized
 
 
-def integer_partitions(n: int) -> Iterator[PartitionShape]:
-    """All partitions of n, as block-size shapes."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-
-    def rec(remaining: int, smallest: int, acc: list[int]) -> Iterator[list[int]]:
-        if remaining == 0:
-            yield acc
-            return
-        for part in range(smallest, remaining + 1):
-            yield from rec(remaining - part, part, acc + [part])
-
-    for sizes in rec(n, 1, []):
-        yield PartitionShape.from_block_sizes(sizes)
+def _shapes(n: int, smallest: int = 1) -> Iterator[tuple[tuple[int, int], ...]]:
+    """Each partition of n into parts >= smallest, once, as (size, count)
+    pairs with sizes increasing: the smallest size and its count, then
+    the partitions of the rest into larger parts."""
+    if not n:
+        yield ()
+    for size in range(smallest, n + 1):
+        for count in range(1, n // size + 1):
+            for rest in _shapes(n - size * count, size + 1):
+                yield ((size, count),) + rest
 
 
 def bell_polynomial_coefficient(shape: PartitionShape) -> int:
@@ -559,7 +543,9 @@ def bell_polynomial_coefficient(shape: PartitionShape) -> int:
 
 def bell_via_shapes(n: int) -> int:
     """B_n as the sum of shape coefficients over all partitions of n."""
-    return sum(bell_polynomial_coefficient(s) for s in integer_partitions(n))
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    return sum(bell_polynomial_coefficient(PartitionShape(s)) for s in _shapes(n))
 
 
 def poisson_moments(mean: int, N: int) -> list[int]:

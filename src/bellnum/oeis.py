@@ -183,8 +183,10 @@ class CheckResult:
 
 
 def check_bfile(sequence: str, text: str, max_terms: int = 600) -> CheckResult:
-    """Compare a b-file against the registry sequence; stop at the first
-    mismatch or after max_terms comparisons."""
+    """Compare the b-file entries at positions 0..max_terms-1 (index minus
+    the sequence's first index) against the registry sequence; stop at the
+    first mismatch.  Later entries are skipped, so max_terms also bounds
+    how many terms are computed."""
     if max_terms < 0:
         raise ValueError(f"max_terms must be >= 0, got {max_terms}")
     key = sequence.lower()
@@ -192,7 +194,7 @@ def check_bfile(sequence: str, text: str, max_terms: int = 600) -> CheckResult:
         raise KeyError(f"unknown sequence {sequence!r}")
     spec = REGISTRY[key]
     entries = parse_bfile(text)
-    usable = [e for e in entries if e.index >= spec.first_index][:max_terms]
+    usable = [e for e in entries if 0 <= e.index - spec.first_index < max_terms]
     if not usable:
         return CheckResult(spec.oeis_id, 0, None, None)
     need = usable[-1].index - spec.first_index + 1

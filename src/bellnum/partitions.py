@@ -194,7 +194,7 @@ def collect_stats(n: int) -> PartitionStats:
         mult = {}
         for s in range(1, n + 1):
             key, mult[s] = divmod(key, base)
-        shape = PartitionShape.from_mapping(mult)
+        shape = PartitionShape(tuple((s, c) for s, c in mult.items() if c))
         by_shape[shape] = by_shape.get(shape, 0) + count
         block1_hist[block1] += count
         singleton_hist[mult[1]] += count

@@ -692,6 +692,20 @@ class TestVerifyFailLines:
             "FAIL: procedure equivalence (Horner = recurrence = shapes, n<=12) "
             "[first counterexample n=5]"]
 
+    def test_dropped_shape(self, capsys, monkeypatch):
+        real = exact._shapes
+
+        def patched(*args):
+            shapes = real(*args)
+            if args == (5,):
+                next(shapes)  # the walk of 5 loses its first shape
+            return shapes
+
+        monkeypatch.setattr(exact, "_shapes", patched)
+        assert self.fail_lines(capsys, "identities", 12) == [
+            "FAIL: procedure equivalence (Horner = recurrence = shapes, n<=12) "
+            "[first counterexample n=5]"]
+
     def test_first_counterexample_n_in_variants(self, capsys, monkeypatch):
         import bellnum.cli as cli
 

@@ -355,13 +355,13 @@ class TestGeneratingPolynomial:
 class TestShapes:
     def test_coefficient_examples(self):
         # one singleton + two pairs of a 5-set: 5!/(1! 2!^2 1! 2!) = 15
-        shape = exact.PartitionShape.from_mapping({1: 1, 2: 2})
+        shape = exact.PartitionShape(((1, 1), (2, 2)))
         assert exact.bell_polynomial_coefficient(shape) == 15
-        assert exact.bell_polynomial_coefficient(exact.PartitionShape.from_mapping({3: 1})) == 1
+        assert exact.bell_polynomial_coefficient(exact.PartitionShape(((3, 1),))) == 1
 
     def test_invalid_shape(self):
         with pytest.raises(ValueError):
-            exact.PartitionShape.from_mapping({0: 2})
+            exact.PartitionShape(((0, 2),))
         with pytest.raises(ValueError):
             exact.PartitionShape(((2, 1), (2, 1)))
 
@@ -370,9 +370,31 @@ class TestShapes:
         for n in range(9):
             assert exact.bell_via_shapes(n) == bells[n]
 
+    def test_negative_n_is_refused(self):
+        with pytest.raises(ValueError):
+            exact.bell_via_shapes(-1)
+
     def test_shape_n_and_singletons(self):
-        shape = exact.PartitionShape.from_block_sizes([1, 1, 3, 2])
+        shape = exact.PartitionShape(((1, 2), (2, 1), (3, 1)))
         assert shape.n == 7
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_walker_yields_the_oracles_shapes(self, n):
+        # the oracle finds its shapes by enumerating set partitions
+        from bellnum import partitions
+
+        assert set(exact._shapes(n)) == {s.counts for s in partitions.collect_stats(n).by_shape}
+
+    def test_walker_yields_each_partition_of_n_once(self):
+        # p(n) by the coin-change recurrence over part sizes 1..40
+        p = [1] + [0] * 40
+        for size in range(1, 41):
+            for n in range(size, 41):
+                p[n] += p[n - size]
+        for n in range(41):
+            shapes = list(exact._shapes(n))
+            assert len(set(shapes)) == len(shapes) == p[n], n
+        assert p[40] == 37338
 
 
 class TestPoissonMoments:

@@ -5,6 +5,8 @@ of this package's generators (the beta and Bell lists, the triangle
 rows), so a match genuinely ties the code to external data.
 """
 
+import dataclasses
+
 import pytest
 
 from bellnum import exact, oeis
@@ -90,6 +92,19 @@ class TestChecking:
     def test_max_terms_cap(self):
         r = oeis.check_bfile("bell", lines(BELL_PUBLISHED), max_terms=3)
         assert r.ok and r.compared == 3
+
+    @pytest.mark.parametrize("text, compared", [("1000000 1", 0), ("0 1\n1000000 1", 1)])
+    def test_max_terms_bounds_the_terms_computed(self, monkeypatch, text, compared):
+        spec = oeis.REGISTRY["bell"]
+
+        def values(count):
+            # fails at once, where computing B_0..B_999999 would take hours
+            assert count <= 1, f"asked for {count} terms"
+            return spec.values(count)
+
+        monkeypatch.setitem(oeis.REGISTRY, "bell", dataclasses.replace(spec, values=values))
+        r = oeis.check_bfile("bell", text, max_terms=1)
+        assert r.ok == bool(compared) and r.compared == compared
 
     def test_negative_max_terms_is_refused(self):
         # taken as a slice bound, -1 would drop the last of these 20

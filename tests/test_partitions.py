@@ -1,6 +1,7 @@
 """Oracle tests: the exhaustive enumeration against the exact kernel."""
 
 import ast
+from collections import Counter
 from itertools import product
 from math import comb
 from pathlib import Path
@@ -78,7 +79,7 @@ class TestStats:
         assert sum(st_.by_shape.values()) == st_.total
         for shape, count in st_.by_shape.items():
             assert count == exact.bell_polynomial_coefficient(shape)
-        shape = exact.PartitionShape.from_mapping({1: 1, 2: 2})
+        shape = exact.PartitionShape(((1, 1), (2, 2)))
         assert partitions.collect_stats(5).by_shape[shape] == 15
 
     def test_block_of_element1_histogram(self, bells):
@@ -107,7 +108,7 @@ class TestStats:
         by_shape, block1, singles = {}, [0] * (n + 1), [0] * (n + 1)
         for codes in partitions.rgs_strings(n):
             blocks = partitions.rgs_to_blocks(codes)
-            shape = exact.PartitionShape.from_block_sizes([len(b) for b in blocks])
+            shape = exact.PartitionShape(tuple(sorted(Counter(len(b) for b in blocks).items())))
             by_shape[shape] = by_shape.get(shape, 0) + 1
             block1[len(blocks[0])] += 1
             singles[sum(len(b) == 1 for b in blocks)] += 1
