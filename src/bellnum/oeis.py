@@ -183,10 +183,8 @@ class CheckResult:
 
 
 def check_bfile(sequence: str, text: str, max_terms: int = 600) -> CheckResult:
-    """Compare the b-file entries at positions 0..max_terms-1 (index minus
-    the sequence's first index) against the registry sequence; stop at the
-    first mismatch.  Later entries are skipped, so max_terms also bounds
-    how many terms are computed."""
+    """Compare a b-file with the registry sequence at positions below
+    max_terms only (index minus first index); stop at the first mismatch."""
     if max_terms < 0:
         raise ValueError(f"max_terms must be >= 0, got {max_terms}")
     key = sequence.lower()
