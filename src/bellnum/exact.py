@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, repeat
+from itertools import accumulate, chain, repeat
 from math import comb, factorial
 from operator import mul
 from typing import Iterator, Sequence
@@ -151,9 +151,9 @@ class PartitionShape:
 
 
 class _Prefixes:
-    """Growing prefixes of beta, the Poisson moments and the Matsunaga
-    rows, each extended on demand and never recomputed.  B is the Poisson
-    prefix at mean 1.
+    """Growing prefixes of beta, the Poisson moments, the Matsunaga rows
+    and ``P_n(n)``, each extended on demand and never recomputed.  B is
+    the Poisson prefix at mean 1.
 
     Public functions hand out list copies or ``TriangleTable`` views of
     the rows (tuples), so no caller can alter a prefix.  The signed
@@ -168,6 +168,7 @@ class _Prefixes:
         self.poisson: dict[int, tuple[list[int], list[int]]] = {}
         self.matsunaga = [(0,)]  # rows 1, 2, ... of M
         self.matsunaga_s = (1,)  # signed Stirling row of M's last row
+        self.pn_at_n = ([0], [0])  # P_n(n) and P_n(n)/n!, index 0 unused
 
     def bells_upto(self, N: int) -> list[int]:
         return self.poisson_upto(1, N)
@@ -189,6 +190,17 @@ class _Prefixes:
             srow = self.matsunaga_s = _stirling_next(self.matsunaga_s, n)
             rows.append(tuple(n * m + beta[n] * s for m, s in zip(rows[-1] + (0,), srow)))
         return rows
+
+    def pn_at_n_upto(self, N: int) -> tuple[list[int], list[int]]:
+        values, normalized = self.pn_at_n
+        for n in range(len(values), N + 1):
+            p = pnv_eval(n, n).numerator if n < 4 else _pnv_scaled(n, n, 1)
+            q, rem = divmod(p, factorial(n))
+            if rem:
+                raise ArithmeticError(f"P_{n}({n}) not divisible by {n}!")
+            values.append(p)
+            normalized.append(q)
+        return self.pn_at_n
 
 
 def _aitken_extend(m: list[int], row: list[int], mean: int, N: int) -> list[int]:
@@ -395,16 +407,13 @@ def bell_matsunaga(n: int) -> HornerTrace:
     if n < 2:
         raise ValueError("procedure is degenerate for n < 2")
     row = _PREFIX.matsunaga_upto(n)[n - 1]
-    bits = max(v.bit_length() for v in row)
     acc = row[n - 1]
     partials = []
     for k in range(n - 1, 0, -1):
         acc = row[k - 1] + n * acc
         partials.append(acc)
-        if acc.bit_length() > bits:
-            bits = acc.bit_length()
     inner = n * acc
-    bits = max(bits, inner.bit_length())
+    bits = max(map(int.bit_length, chain(row, partials, (inner,))))
     q, rem = divmod(inner, factorial(n))
     if rem:
         raise ArithmeticError(f"inner sum not divisible by {n}! at n={n}")
@@ -457,13 +466,17 @@ def abs_matsunaga_row(n: int) -> list[int]:
 
 
 def pnv_eval(n: int, v: Fraction | int) -> Fraction:
-    """``P_n(v) = sum_k |M[n,k]| v^k`` by direct summation."""
+    """``P_n(v) = sum_k |M[n,k]| v^k`` by direct summation: for v = p/q,
+    ``q^n P_n(v) = p sum_k |M[n,k]| p^(k-1) q^(n-k)``, by Horner's rule in p."""
     if n < 1:
         raise ValueError("n must be >= 1")
     v = Fraction(v)
     p, q = v.numerator, v.denominator
-    row = _PREFIX.matsunaga_upto(n)[n - 1]
-    return Fraction(sum(abs(c) * p**k * q ** (n - k) for k, c in enumerate(row, start=1)), q**n)
+    acc, qpow = 0, 1  # qpow = q^(n-k)
+    for c in reversed(_PREFIX.matsunaga_upto(n)[n - 1]):
+        acc = acc * p + abs(c) * qpow
+        qpow *= q
+    return Fraction(acc * p, qpow)
 
 
 def _pnv_scaled(n: int, p: int, q: int) -> int:
@@ -497,23 +510,15 @@ def pnv_closed(n: int, v: Fraction | int) -> Fraction:
 
 
 def pn_at_n(N: int) -> tuple[list[int], list[int]]:
-    """``P_n(n)`` and ``P_n(n)/n!`` for n = 1..N (index 0 unused, set to 0).
-
-    n = 1..3 go through direct summation (the closed form starts at 4);
-    the normalized value is checked to be an integer.
+    """``P_n(n)`` and ``P_n(n)/n!`` for n = 1..N (index 0 unused, set to 0),
+    copied from a growing prefix.  A new n comes from the closed form, or by
+    direct summation for n = 1..3 (the closed form starts at 4); the
+    normalized value is checked to be an integer.
     """
     if N < 1:
         raise ValueError("N must be >= 1")
-    values = [0]
-    normalized = [0]
-    for n in range(1, N + 1):
-        p = pnv_eval(n, n).numerator if n < 4 else _pnv_scaled(n, n, 1)
-        q, rem = divmod(p, factorial(n))
-        if rem:
-            raise ArithmeticError(f"P_{n}({n}) not divisible by {n}!")
-        values.append(p)
-        normalized.append(q)
-    return values, normalized
+    values, normalized = _PREFIX.pn_at_n_upto(N)
+    return values[: N + 1], normalized[: N + 1]
 
 
 def _shapes(n: int, smallest: int = 1) -> Iterator[tuple[tuple[int, int], ...]]:
@@ -524,8 +529,10 @@ def _shapes(n: int, smallest: int = 1) -> Iterator[tuple[tuple[int, int], ...]]:
         yield ()
     for size in range(smallest, n + 1):
         for count in range(1, n // size + 1):
-            for rest in _shapes(n - size * count, size + 1):
-                yield ((size, count),) + rest
+            left = n - size * count
+            if not left or left > size:  # 0 < left <= size splits into no larger parts
+                for rest in _shapes(left, size + 1):
+                    yield ((size, count),) + rest
 
 
 def bell_polynomial_coefficient(shape: PartitionShape) -> int:

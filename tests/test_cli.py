@@ -734,6 +734,17 @@ class TestVerifyFailLines:
             "FAIL: closed P_n(v) equals direct P_n(v) on rational grid "
             "[first counterexample (n,v)=(5, Fraction(-1, 2))]"]
 
+    def test_pn_at_n_prefix_built_from_a_faulty_closed_form(self, capsys, monkeypatch):
+        # P_7(7)/7! off by one before the prefix holds it (7! still divides,
+        # so pn_at_n takes the value): the prefix stores the fault, and the
+        # direct route must see it.  The rational grid reads (7, 7) too.
+        self.off_at(monkeypatch, exact, "_pnv_scaled", (7, 7, 1), lambda v: v + math.factorial(7))
+        assert self.fail_lines(capsys, "identities", 10) == [
+            "FAIL: closed P_n(v) equals direct P_n(v) on rational grid "
+            "[first counterexample (n,v)=(7, Fraction(7, 1))]",
+            "FAIL: P_n(n) closed/direct agree and n! divides (n<=10) "
+            "[first counterexample n=7]"]
+
     @pytest.mark.parametrize("bad, witness", [
         # the one documented sign exception, taken away
         ((3,), "(3, 1)"),

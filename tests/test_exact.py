@@ -244,6 +244,22 @@ class TestHornerProcedure:
         with pytest.raises(ValueError):
             exact.bell_matsunaga(0)
 
+    def test_trace_equals_the_per_step_scan(self):
+        # reference: the bit lengths scanned step by step; every field must match
+        for n in range(2, 161):
+            row = exact.matsunaga_rows(n).row(n)
+            bits = max(v.bit_length() for v in row)
+            acc = row[n - 1]
+            partials = []
+            for k in range(n - 1, 0, -1):
+                acc = row[k - 1] + n * acc
+                partials.append(acc)
+                bits = max(bits, acc.bit_length())
+            inner = n * acc
+            assert exact.bell_matsunaga(n) == exact.HornerTrace(
+                n, tuple(partials), inner, max(bits, inner.bit_length()),
+                inner // factorial(n) + 1)
+
     @given(st.integers(min_value=2, max_value=40))
     @settings(max_examples=25, deadline=None)
     def test_trace_invariants(self, n):
@@ -305,6 +321,15 @@ class TestGeneratingPolynomial:
         assert Fraction(96, 24) == betas[4] - betas[3] + betas[2]
         assert exact.pnv_closed(4, 4) / 24 == 130
         assert exact.pnv_eval(5, 0) == 0
+
+    def test_eval_equals_the_per_term_sum(self):
+        # reference: fresh powers p^k q^(n-k) summed term by term
+        for n in range(1, 81):
+            row = exact.matsunaga_rows(n).row(n)
+            for v in (0, 1, -3, n, Fraction(-1, 2), Fraction(7, 3), Fraction(5, 11)):
+                p, q = Fraction(v).numerator, Fraction(v).denominator
+                per_term = sum(abs(c) * p**k * q ** (n - k) for k, c in enumerate(row, start=1))
+                assert exact.pnv_eval(n, v) == Fraction(per_term, q**n)
 
     def test_closed_rejects_small_n(self):
         for n in (1, 2, 3):
@@ -467,13 +492,14 @@ class TestPrefixes:
             for a in (1, 2, 3):
                 exact.poisson_moments(a, small)
             exact.matsunaga_rows(small)
+            exact.pn_at_n(small)
             grown.append((exact.bell_numbers(large), exact.beta_numbers(large),
                           [exact.poisson_moments(a, large) for a in (1, 2, 3)],
-                          exact.matsunaga_rows(large)))
+                          exact.matsunaga_rows(large), exact.pn_at_n(large)))
             exact._reset()
             fresh = (exact.bell_numbers(large), exact.beta_numbers(large),
                      [exact.poisson_moments(a, large) for a in (1, 2, 3)],
-                     exact.matsunaga_rows(large))
+                     exact.matsunaga_rows(large), exact.pn_at_n(large))
             assert grown[-1] == fresh
 
     def test_shorter_request_is_a_prefix(self):
@@ -482,7 +508,8 @@ class TestPrefixes:
 
     def test_mutating_results_leaves_prefix_intact(self):
         for fn in (exact.bell_numbers, exact.beta_numbers,
-                   lambda n: exact.poisson_moments(3, n)):
+                   lambda n: exact.poisson_moments(3, n),
+                   lambda n: exact.pn_at_n(n)[0], lambda n: exact.pn_at_n(n)[1]):
             first = fn(20)
             expected = list(first)
             first[5] = -1
@@ -500,7 +527,7 @@ class TestPrefixes:
         src = str(Path(exact.__file__).parents[1])
         code = ("import sys; sys.path.insert(0, %r); import bellnum.cli; "
                 "from bellnum.exact import _PREFIX as p; "
-                "print(p.betas, p.matsunaga, p.poisson)" % src)
+                "print(p.betas, p.matsunaga, p.poisson, p.pn_at_n)" % src)
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                              check=True).stdout
-        assert out == "[1] [(0,)] {}\n"
+        assert out == "[1] [(0,)] {} ([0], [0])\n"
