@@ -75,15 +75,6 @@ class UsageError(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class BenchRecord:
-    n: int
-    procedure: str
-    wall_time: float
-    max_intermediate_bits: int
-    result: int
-
-
 def _rat(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(x.numerator)
 
@@ -178,11 +169,16 @@ class Check:
 
 
 def _run(check: Check) -> tuple[str, str]:
-    """(status, detail): FAIL at the first counterexample, skip when the
-    domain has no point, ok otherwise."""
+    """(status, detail): FAIL at the first counterexample or at the first
+    point where a route raises ``ArithmeticError`` (the witness's last word
+    names the point), skip when the domain has no point, ok otherwise."""
     empty = True
     for point in check.domain:
-        if not check.holds(point):
+        try:
+            holds = check.holds(point)
+        except ArithmeticError as e:
+            return "FAIL", f"raised at {check.witness.rsplit(' ', 1)[-1]}{point}: {e}"
+        if not holds:
             return "FAIL", check.witness + str(point)
         empty = False
     return ("skip", "") if empty else ("ok", check.note)
@@ -203,21 +199,27 @@ def _identities(N: int) -> list[Check]:
     beta_rec = exact._beta_binomial(N + 1)
     c25, c30 = min(N, 25), min(N, 30)
     s = exact.stirling_unsigned_rows(c25 + 1)
-    b_table = exact.b_table_rows(c25)
-    vals, norm = exact.pn_at_n(N)
     # the checks walk (n, k) row by row: one sum-form row per n
     sum_row = functools.lru_cache(maxsize=1)(exact._sum_form_row)
     abs_row = functools.lru_cache(maxsize=1)(exact.abs_matsunaga_row)
+    # built at its check's first point, so N = 1 (no point) builds nothing
+    weighted = functools.lru_cache(maxsize=1)(exact.weighted_matsunaga_rows)
 
     def abs_formula(nk: tuple[int, int]) -> bool:
         truth = abs(m.entry(*nk))
         # the formula's one sign exception
         return abs_row(nk[0])[nk[1] - 1] == (-truth if nk == (3, 1) else truth)
 
+    # the routes that can raise are read at each point, so a fault fails
+    # its own check at its own point
     def procedures_agree(n: int) -> bool:
-        b = sum(b_table.row(n))
+        b = sum(exact.b_table_rows(n).row(n))
         return (exact.bell_matsunaga(n).result == b and exact.bell_via_shapes(n) == b
                 and bells[n] == b)
+
+    def pn_at_n_agree(n: int) -> bool:
+        vals, norm = exact.pn_at_n(n)
+        return exact.pnv_eval(n, n) == vals[n] == norm[n] * factorial(n)
 
     def corollary(n: int) -> bool:
         rhs = sum((-1) ** j * (j + 1) * bells[n - 1 - j] for j in range(n)) + (-1) ** n * n
@@ -228,13 +230,12 @@ def _identities(N: int) -> list[Check]:
     return [
         Check(f"matsunaga row sums zero (n<={N})", range(1, N + 1), lambda n: sum(m.row(n)) == 0),
         Check("matsunaga diagonal equals beta", range(1, N + 1),
-              lambda n: m.entry(n, n) == beta[n]),
+              lambda n: m.entry(n, n) == beta_rec[n]),
         Check(f"splitting B_n = beta_(n+1) + beta_n (n<={N})", range(N + 1),
               lambda n: bells[n] == beta_rec[n + 1] + beta_rec[n]
               and beta[n:n + 2] == beta_rec[n:n + 2]),
         Check(f"sum_k M[n,k] n^k = (B_n - 1) n! (2<=n<={N})", range(2, N + 1),
-              lambda n: sum(v * n**k for k, v in enumerate(m.row(n), start=1))
-              == (bells[n] - 1) * factorial(n)),
+              lambda n: sum(weighted(N).row(n)) == (bells[n] - 1) * factorial(n)),
         Check(f"sum form equals recurrence triangle (n<={c25})", _triangle(c25),
               lambda nk: sum_row(nk[0])[nk[1] - 1] == m.entry(*nk),
               "first counterexample (n,k)="),
@@ -254,7 +255,7 @@ def _identities(N: int) -> list[Check]:
         Check(f"procedure equivalence (Horner = recurrence = shapes, n<={c25})",
               range(2, c25 + 1), procedures_agree),
         Check(f"P_n(n) closed/direct agree and n! divides (n<={N})", range(1, N + 1),
-              lambda n: exact.pnv_eval(n, n) == vals[n] == norm[n] * factorial(n)),
+              pn_at_n_agree),
         Check(f"P_n(1)/n! alternating-Bell corollary (4<=n<={N})", range(4, N + 1), corollary),
     ]
 
@@ -538,7 +539,7 @@ def cmd_bench(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
         raise UsageError("--repeats must be >= 1")
     rows: list[list[object]] = []
     for n in _bench_ladder(N):
-        records: dict[str, BenchRecord] = {}
+        records: dict[str, tuple[float, int, int]] = {}  # procedure -> (best, bits, result)
         for proc, fn, cap in (
             ("matsunaga", exact.bench_matsunaga_procedure, BENCH_MATSUNAGA_CAP),
             ("arima", exact.bench_arima_procedure, arima_cap),
@@ -552,16 +553,16 @@ def cmd_bench(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
                 t0 = time.perf_counter()
                 result, bits = fn(n)
                 best = min(best, time.perf_counter() - t0)
-            records[proc] = BenchRecord(n, proc, best, bits, result)
+            records[proc] = best, bits, result
         if "matsunaga" in records and "arima" in records:
-            if records["matsunaga"].result != records["arima"].result:
+            (_, m_bits, m_result), (_, a_bits, a_result) = records["matsunaga"], records["arima"]
+            if m_result != a_result:
                 return 1, [f"procedures disagree at n={n}\n"]
-            ratio = records["matsunaga"].max_intermediate_bits / records["arima"].max_intermediate_bits
+            ratio = m_bits / a_bits
         else:
             ratio = float("nan")
-        for rec in records.values():
-            rows.append([rec.n, rec.procedure, f"{rec.wall_time:.6f}",
-                         rec.max_intermediate_bits, f"{ratio:.3f}", rec.result])
+        for proc, (best, bits, result) in records.items():
+            rows.append([n, proc, f"{best:.6f}", bits, f"{ratio:.3f}", result])
     return 0, _render(args.format,
                       ["n", "procedure", "wall_time_s", "max_intermediate_bits",
                        "bits_ratio", "result"],

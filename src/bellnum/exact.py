@@ -18,6 +18,10 @@ is one growing prefix, for the triangle and the Horner procedure; the
 sum form ``M[n,k] = n! sum_{k<=j<=n} (beta_j / j!) s[j,k]`` builds one
 row alone, for callers that read a few rows.  Each is checked on the other.
 
+Each triangle has one row source, an unbounded private generator
+(``_stirling_rows``, ``_b_table_rows``, ``_arima_rows``, ``_matsunaga_rows``)
+that the ``TriangleTable`` builders and the ``oeis`` readers all read.
+
 The Horner evaluation is instrumented (every partial accumulator and its
 bit length is recorded) because the intermediate values reach the scale
 of ``B_n * n!`` and cancel violently; the instrumentation makes that
@@ -28,7 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, chain, repeat
+from itertools import accumulate, chain, count, islice, repeat
 from math import comb, factorial
 from operator import mul
 from typing import Iterator, Sequence
@@ -158,8 +162,8 @@ class _Prefixes:
     Public functions hand out list copies or ``TriangleTable`` views of
     the rows (tuples), so no caller can alter a prefix.  The signed
     Stirling triangle is not kept: it is cheap to rebuild and large to
-    hold, so the Matsunaga prefix keeps only the Stirling row it last
-    consumed.
+    hold, so the Matsunaga prefix reads its own live ``_stirling_rows``
+    source, one row per new row of M.
     """
 
     def __init__(self) -> None:
@@ -167,7 +171,7 @@ class _Prefixes:
         # mean -> (raw moments 0, 1, ..., the array row whose first entry is the last moment)
         self.poisson: dict[int, tuple[list[int], list[int]]] = {}
         self.matsunaga = [(0,)]  # rows 1, 2, ... of M
-        self.matsunaga_s = (1,)  # signed Stirling row of M's last row
+        self.stirling = islice(_stirling_rows(), 1, None)  # s rows for M's rows 2, 3, ...
         self.pn_at_n = ([0], [0])  # P_n(n) and P_n(n)/n!, index 0 unused
 
     def bells_upto(self, N: int) -> list[int]:
@@ -187,8 +191,8 @@ class _Prefixes:
     def matsunaga_upto(self, N: int) -> list[tuple[int, ...]]:
         rows, beta = self.matsunaga, self.betas_upto(N)
         for n in range(len(rows) + 1, N + 1):
-            srow = self.matsunaga_s = _stirling_next(self.matsunaga_s, n)
-            rows.append(tuple(n * m + beta[n] * s for m, s in zip(rows[-1] + (0,), srow)))
+            rows.append(tuple(n * m + beta[n] * s
+                              for m, s in zip(rows[-1] + (0,), next(self.stirling))))
         return rows
 
     def pn_at_n_upto(self, N: int) -> tuple[list[int], list[int]]:
@@ -218,26 +222,18 @@ def _aitken_extend(m: list[int], row: list[int], mean: int, N: int) -> list[int]
     return row
 
 
-_PREFIX = _Prefixes()
-
-
-def _reset() -> None:
-    """Empty every prefix, so that the next call computes from scratch."""
-    global _PREFIX
-    _PREFIX = _Prefixes()
-
-
 def _stirling_next(prev: tuple[int, ...], n: int) -> tuple[int, ...]:
     """Signed Stirling row n from row n - 1 (a list comprehension builds
     the tuple about 10 % faster than a generator does)."""
     return tuple([left - (n - 1) * right for left, right in zip((0,) + prev, prev + (0,))])
 
 
-def _stirling_rows(N: int) -> Iterator[tuple[int, ...]]:
-    """Signed Stirling rows 1..N, each built from the one before."""
+def _stirling_rows() -> Iterator[tuple[int, ...]]:
+    """Signed Stirling rows 1, 2, ..., each built from the one before: the
+    one source of the triangle's rows."""
     row = (1,)
     yield row
-    for n in range(2, N + 1):
+    for n in count(2):
         row = _stirling_next(row, n)
         yield row
 
@@ -259,14 +255,21 @@ def _stirling_band(N: int, width: int, hi: int) -> Iterator[tuple[int, tuple[int
         yield lo, row
 
 
+_PREFIX = _Prefixes()
+
+
+def _reset() -> None:
+    """Empty every prefix, so that the next call computes from scratch."""
+    global _PREFIX
+    _PREFIX = _Prefixes()
+
+
 def stirling_signed_row(n: int) -> tuple[int, ...]:
-    """Signed Stirling row n alone: the last row of ``_stirling_rows(n)``,
-    each earlier row dropped once the next one is built."""
+    """Signed Stirling row n alone, read from ``_stirling_rows``, which
+    drops each earlier row once the next one is built."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    for row in _stirling_rows(n):
-        pass
-    return row
+    return next(islice(_stirling_rows(), n - 1, None))
 
 
 def stirling_signed_rows(N: int) -> TriangleTable:
@@ -278,7 +281,7 @@ def stirling_signed_rows(N: int) -> TriangleTable:
     """
     if N < 1:
         raise ValueError("N must be >= 1")
-    return TriangleTable("stirling1", 1, 1, tuple(_stirling_rows(N)))
+    return TriangleTable("stirling1", 1, 1, tuple(islice(_stirling_rows(), N)))
 
 
 def stirling_unsigned_rows(N: int) -> TriangleTable:
@@ -286,25 +289,21 @@ def stirling_unsigned_rows(N: int) -> TriangleTable:
     if N < 1:
         raise ValueError("N must be >= 1")
     return TriangleTable("stirling1_unsigned", 1, 1,
-                         tuple(tuple(map(abs, r)) for r in _stirling_rows(N)))
+                         tuple(tuple(map(abs, r)) for r in islice(_stirling_rows(), N)))
 
 
-def b_table_rows(N: int) -> TriangleTable:
-    """The row table ``b[n,k] = C(n-1,k-1) B_{n-k}`` for rows 1..N.
+def _b_table_rows() -> Iterator[tuple[int, ...]]:
+    """Rows 1, 2, ... of the row table ``b[n,k] = C(n-1,k-1) B_{n-k}``.
 
     Built purely by the space-for-time trick: the first column restarts
     each row as the previous row's sum, and every other entry is
     ``(n-1)/(k-1)`` times its upper-left neighbour.  The division is
     performed as multiply-then-exact-divide with a divisibility check,
-    so integrality is a verified invariant, not an assumption.  This is
-    the paper's Arima procedure, kept uncached as the independent route
-    to B.
+    so integrality is a verified invariant, not an assumption.
     """
-    if N < 1:
-        raise ValueError("N must be >= 1")
-    rows: list[tuple[int, ...]] = [(1,)]
-    for n in range(2, N + 1):
-        prev = rows[-1]
+    prev = (1,)
+    yield prev
+    for n in count(2):
         row = [sum(prev)]
         for k in range(2, n + 1):
             num = (n - 1) * prev[k - 2]
@@ -312,8 +311,16 @@ def b_table_rows(N: int) -> TriangleTable:
             if rem:
                 raise ArithmeticError(f"b-table division not exact at (n={n}, k={k})")
             row.append(q)
-        rows.append(tuple(row))
-    return TriangleTable("b_table", 1, 1, tuple(rows))
+        prev = tuple(row)
+        yield prev
+
+
+def b_table_rows(N: int) -> TriangleTable:
+    """The row table for rows 1..N: the paper's Arima procedure, kept
+    uncached as the independent route to B."""
+    if N < 1:
+        raise ValueError("N must be >= 1")
+    return TriangleTable("b_table", 1, 1, tuple(islice(_b_table_rows(), N)))
 
 
 def bell_numbers(N: int) -> list[int]:
@@ -349,6 +356,14 @@ def beta_from_bells(n: int, bells: Sequence[int]) -> int:
     return s + (-1) ** n
 
 
+def _matsunaga_rows() -> Iterator[tuple[int, ...]]:
+    """Matsunaga rows 1, 2, ...: those the prefix holds, then each next
+    one as the prefix grows by it."""
+    for n in count(1):
+        rows = _PREFIX.matsunaga
+        yield rows[n - 1] if n <= len(rows) else _PREFIX.matsunaga_upto(n)[n - 1]
+
+
 def matsunaga_rows(N: int) -> TriangleTable:
     """Matsunaga triangle rows 1..N: ``M[n,k] = n M[n-1,k] + beta_n s[n,k]``
     with M zero for n <= 1.  Every row of the result sums to zero and the
@@ -356,7 +371,7 @@ def matsunaga_rows(N: int) -> TriangleTable:
     """
     if N < 1:
         raise ValueError("N must be >= 1")
-    return TriangleTable("matsunaga", 1, 1, tuple(_PREFIX.matsunaga_upto(N)[:N]))
+    return TriangleTable("matsunaga", 1, 1, tuple(islice(_matsunaga_rows(), N)))
 
 
 def _sum_form_row(n: int, first: int = 1, last: int | None = None) -> list[int]:
@@ -445,9 +460,8 @@ def weighted_matsunaga_rows(N: int) -> TriangleTable:
     """Rows 2..N of ``M[n,k] n^k``; row n sums to ``(B_n - 1) n!``."""
     if N < 2:
         raise ValueError("N must be >= 2")
-    m = _PREFIX.matsunaga_upto(N)
-    rows = tuple(tuple(map(mul, m[n - 1], accumulate(repeat(n, n), mul)))
-                 for n in range(2, N + 1))
+    rows = tuple(tuple(map(mul, m, accumulate(repeat(n, n), mul)))
+                 for n, m in enumerate(islice(_matsunaga_rows(), 1, N), start=2))
     return TriangleTable("weighted_matsunaga", 2, 1, rows)
 
 
@@ -567,17 +581,25 @@ def poisson_moments(mean: int, N: int) -> list[int]:
     return _PREFIX.poisson_upto(mean, N)[: N + 1]
 
 
+def _arima_rows() -> Iterator[tuple[int, ...]]:
+    """Arima rows 0, 1, ...: ``A[n,k] = C(n,k) B_{n-k}`` for k = 0..n; row
+    n sums to B_{n+1}.  The binomials come row by row from Pascal's rule.
+    The Bell prefix is read once, and extended only when a row needs a
+    Bell number that it does not hold yet."""
+    bells, binomials = _PREFIX.bells_upto(0), [1]
+    for n in count():
+        if n == len(bells):
+            bells = _PREFIX.bells_upto(n)
+        yield tuple(map(mul, binomials, bells[n::-1]))
+        binomials = [a + b for a, b in zip([0] + binomials, binomials + [0])]
+
+
 def arima_rows(N: int) -> TriangleTable:
-    """Arima triangle rows 1..N: ``A[n,k] = C(n,k) B_{n-k}`` for k = 0..n;
-    row n sums to B_{n+1}.  The binomials come row by row from Pascal's rule."""
+    """Arima triangle rows 1..N, from ``_arima_rows``."""
     if N < 1:
         raise ValueError("N must be >= 1")
-    bells = _PREFIX.bells_upto(N)
-    rows, binomials = [], [1]
-    for n in range(1, N + 1):
-        binomials = [a + b for a, b in zip([0] + binomials, binomials + [0])]
-        rows.append(tuple(map(mul, binomials, bells[n::-1])))
-    return TriangleTable("arima", 1, 0, tuple(rows))
+    _PREFIX.bells_upto(N)  # one extension for every row, not one per row
+    return TriangleTable("arima", 1, 0, tuple(islice(_arima_rows(), 1, N + 1)))
 
 
 def solve_bell_inverse(target: int) -> int | None:

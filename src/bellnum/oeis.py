@@ -13,18 +13,11 @@ lines up with this package's row conventions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, islice
+from itertools import chain, count, islice
 from typing import Callable, Iterable, Sequence
 
-from .exact import (
-    arima_rows,
-    bell_numbers,
-    beta_numbers,
-    b_table_rows,
-    matsunaga_rows,
-    poisson_moments,
-    stirling_signed_rows,
-)
+from . import exact
+from .exact import bell_numbers, beta_numbers, poisson_moments
 from .distributions import a033306_pmf, variant_triangle
 
 __all__ = [
@@ -86,51 +79,25 @@ class SequenceSpec:
     aliases: tuple[str, ...] = ()
 
 
-def _row_major(rows: Callable[[int], Iterable[Sequence[int]]]) -> Callable[[int], list[int]]:
-    """Linear generator over the rows of one triangle.  ``rows(N)`` yields
-    at least N rows in order, the i-th holding at least i entries, so the
-    least N with N(N+1)/2 >= count covers a request; it is called once
-    per request."""
+def _row_major(rows: Callable[[], Iterable[Sequence[int]]]) -> Callable[[int], list[int]]:
+    """Linear generator over the rows of one triangle.  ``rows()`` starts
+    a fresh stream of the triangle's rows in order; a request reads it
+    across row boundaries and stops at its last term, so no row past
+    that term is built.  The row sources of ``exact`` are looked up at
+    call time."""
 
-    def gen(count: int) -> list[int]:
-        N = 1
-        while N * (N + 1) // 2 < count:
-            N += 1
-        return list(islice(chain.from_iterable(rows(N)), count))
+    def gen(terms: int) -> list[int]:
+        return list(islice(chain.from_iterable(rows()), terms))
 
     return gen
 
 
-def _arima_rows_from_zero(N: int) -> tuple[tuple[int, ...], ...]:
-    return ((1,), *arima_rows(N).rows)
-
-
-_stirling_linear = _row_major(lambda N: stirling_signed_rows(N).rows)
-_matsunaga_linear = _row_major(lambda N: matsunaga_rows(N).rows)
-_b_table_linear = _row_major(lambda N: b_table_rows(N).rows)
-_arima_no_first_column_linear = _row_major(lambda N: (r[1:] for r in arima_rows(N).rows))
-_arima_linear = _row_major(_arima_rows_from_zero)
-_arima_reversed_linear = _row_major(lambda N: (r[::-1] for r in _arima_rows_from_zero(N)))
-_a033306_linear = _row_major(
-    lambda N: chain([(1,), (1, 1)], (a033306_pmf(n).weights for n in range(2, N + 1)))
-)
-
-
-def _variant_linear(which: str, start_n: int) -> Callable[[int], list[int]]:
-    # the i-th row is row start_n + i - 1, which holds at least i entries
+def _variant_linear(which: str, head: list[tuple[int, ...]],
+                    start: int) -> Callable[[int], list[int]]:
+    """The rows of ``head``, then those of ``variant_triangle(n, which)``
+    for n = start, start + 1, ..."""
     return _row_major(
-        lambda N: (variant_triangle(n, which).weights for n in range(start_n, start_n + N)))
-
-
-def _prefixed(first_rows: list[list[int]], rest: Callable[[int], list[int]]) -> Callable[[int], list[int]]:
-    head = [v for row in first_rows for v in row]
-
-    def gen(count: int) -> list[int]:
-        if count <= len(head):
-            return head[:count]
-        return head + rest(count - len(head))
-
-    return gen
+        lambda: chain(head, (variant_triangle(n, which).weights for n in count(start))))
 
 
 REGISTRY: dict[str, SequenceSpec] = {}
@@ -145,29 +112,28 @@ def _register(spec: SequenceSpec) -> None:
 _register(SequenceSpec("A000110", 0, lambda c: bell_numbers(c - 1), aliases=("bell",)))
 _register(SequenceSpec("A000296", 0, lambda c: beta_numbers(c - 1), aliases=("beta",)))
 _register(SequenceSpec("A001861", 0, lambda c: poisson_moments(2, c - 1), aliases=("tilde-bell",)))
-_register(SequenceSpec("A008275", 1, _stirling_linear, aliases=("stirling",)))
-_register(SequenceSpec("A056857", 1, _arima_linear, aliases=("arima",)))
-_register(SequenceSpec("A056860", 1, _arima_reversed_linear, aliases=("arima-reversed",)))
-_register(SequenceSpec("A175757", 1, _arima_no_first_column_linear))
-_register(SequenceSpec("matsunaga", 1, _matsunaga_linear))
-_register(SequenceSpec("b-table", 1, _b_table_linear))
-_register(SequenceSpec("A033306", 0, _a033306_linear))
-_register(SequenceSpec("A056856", 1, _prefixed([[1]], _variant_linear("A056856", 2))))
-_register(SequenceSpec("A220883", 1, _prefixed([[1]], _variant_linear("A220883", 2))))
-_register(SequenceSpec("A260887", 1, _prefixed([[1]], _variant_linear("A260887", 2))))
-_register(SequenceSpec("A220884", 1, _prefixed([[1]], _variant_linear("A220884", 2))))
-_register(
-    SequenceSpec("A124323", 0,
-                 _prefixed([[1], [0, 1]], _variant_linear("A124323", 2)))
-)
-_register(
-    SequenceSpec("A086659", 1,
-                 _prefixed([[0], [1, 0], [1, 3, 0]],
-                           _variant_linear("A086659", 4)))
-)
-_register(SequenceSpec("A078937", 0, _prefixed([[1], [2, 1]], _variant_linear("A078937", 2))))
-_register(SequenceSpec("A078938", 0, _prefixed([[1], [3, 1]], _variant_linear("A078938", 2))))
-_register(SequenceSpec("A078939", 0, _prefixed([[1], [4, 1]], _variant_linear("A078939", 2))))
+# the Arima source starts at row 0, the other sources of exact at row 1
+_register(SequenceSpec("A008275", 1, _row_major(lambda: exact._stirling_rows()),
+                       aliases=("stirling",)))
+_register(SequenceSpec("A056857", 1, _row_major(lambda: exact._arima_rows()),
+                       aliases=("arima",)))
+_register(SequenceSpec("A056860", 1, _row_major(lambda: (r[::-1] for r in exact._arima_rows())),
+                       aliases=("arima-reversed",)))
+_register(SequenceSpec("A175757", 1, _row_major(
+    lambda: (r[1:] for r in islice(exact._arima_rows(), 1, None)))))
+_register(SequenceSpec("matsunaga", 1, _row_major(lambda: exact._matsunaga_rows())))
+_register(SequenceSpec("b-table", 1, _row_major(lambda: exact._b_table_rows())))
+_register(SequenceSpec("A033306", 0, _row_major(
+    lambda: chain([(1,), (1, 1)], (a033306_pmf(n).weights for n in count(2))))))
+_register(SequenceSpec("A056856", 1, _variant_linear("A056856", [(1,)], 2)))
+_register(SequenceSpec("A220883", 1, _variant_linear("A220883", [(1,)], 2)))
+_register(SequenceSpec("A260887", 1, _variant_linear("A260887", [(1,)], 2)))
+_register(SequenceSpec("A220884", 1, _variant_linear("A220884", [(1,)], 2)))
+_register(SequenceSpec("A124323", 0, _variant_linear("A124323", [(1,), (0, 1)], 2)))
+_register(SequenceSpec("A086659", 1, _variant_linear("A086659", [(0,), (1, 0), (1, 3, 0)], 4)))
+_register(SequenceSpec("A078937", 0, _variant_linear("A078937", [(1,), (2, 1)], 2)))
+_register(SequenceSpec("A078938", 0, _variant_linear("A078938", [(1,), (3, 1)], 2)))
+_register(SequenceSpec("A078939", 0, _variant_linear("A078939", [(1,), (4, 1)], 2)))
 
 
 @dataclass(frozen=True)

@@ -241,6 +241,21 @@ class TestVerify:
         assert cli._run(cli.Check("c", range(3), lambda n: True, note="seen")) == ("ok", "seen")
         assert cli._run(cli.Check("c", range(0), lambda n: False, note="seen")) == ("skip", "")
 
+    def test_runner_reports_a_raise_at_its_point(self):
+        # a route that raises fails its own check, at the point it raised
+        # at, named as the witness names its points
+        import bellnum.cli as cli
+
+        def holds(nk):
+            if nk == (2, 1):
+                raise ArithmeticError("not exact")
+            return True
+
+        assert cli._run(cli.Check("c", cli._triangle(3), holds, "first counterexample (n,k)=")) == (
+            "FAIL", "raised at (n,k)=(2, 1): not exact")
+        assert cli._run(cli.Check("c", (7,), lambda n: 1 // 0, "got ")) == (
+            "FAIL", "raised at 7: integer division or modulo by zero")
+
     def test_any_failure_flips_exit_code(self, capsys, monkeypatch):
         # exit status must be nonzero iff a check fails: inject a fault
         import bellnum.cli as cli
@@ -632,6 +647,15 @@ class TestVerifyIndependence:
         assert code == 1
         assert line.startswith("FAIL: splitting")
 
+    def test_corrupted_beta_prefix_fails_the_diagonal(self, capsys):
+        # the recurrence puts the faulty beta_7 on M's diagonal, so only
+        # the binomial route can catch it there
+        exact.beta_numbers(13)
+        exact._PREFIX.betas[7] += 1
+        code, line = self._line(capsys, "diagonal")
+        assert code == 1
+        assert line == "FAIL: matsunaga diagonal equals beta [first counterexample n=7]"
+
     def test_corrupted_bell_prefix_fails(self, capsys):
         # beta derived afterwards from the corrupted B agrees with it, so
         # only the binomial route can catch the fault
@@ -745,6 +769,22 @@ class TestVerifyFailLines:
             "FAIL: P_n(n) closed/direct agree and n! divides (n<=10) "
             "[first counterexample n=7]"]
 
+    def test_weighted_entry_off_by_one(self, capsys, monkeypatch):
+        # the check sums the rows that `table weighted-matsunaga` prints
+        import dataclasses
+
+        real = exact.weighted_matsunaga_rows
+
+        def patched(N):
+            t = real(N)
+            rows = list(t.rows)
+            rows[5 - t.n_min] = (rows[5 - t.n_min][0] + 1, *rows[5 - t.n_min][1:])
+            return dataclasses.replace(t, rows=tuple(rows))
+
+        monkeypatch.setattr(exact, "weighted_matsunaga_rows", patched)
+        assert self.fail_lines(capsys, "identities", 12) == [
+            "FAIL: sum_k M[n,k] n^k = (B_n - 1) n! (2<=n<=12) [first counterexample n=5]"]
+
     @pytest.mark.parametrize("bad, witness", [
         # the one documented sign exception, taken away
         ((3,), "(3, 1)"),
@@ -793,3 +833,72 @@ class TestVerifyFailLines:
         assert self.fail_lines(capsys, "variants", 6) == [
             "FAIL: two-route moments (closed forms = direct, 4<=n<=6) "
             "[first counterexample ('matsunaga', 5)]"]
+
+
+class TestVerifyRaisingRoutes:
+    """A route that raises ``ArithmeticError`` costs its own check one FAIL
+    line, naming the point and the message; every other line still prints."""
+
+    @pytest.fixture(autouse=True)
+    def fresh(self):
+        exact._reset()
+        yield
+        exact._reset()
+
+    @staticmethod
+    def matsunaga_off_at_7_7():
+        # M[7,7] + 1 in the prefix: row 7 no longer sums to zero, rows 8 on
+        # inherit the fault, and 7! no longer divides the Horner sum at 7
+        exact.matsunaga_rows(7)
+        row = exact._PREFIX.matsunaga[6]
+        exact._PREFIX.matsunaga[6] = (*row[:-1], row[-1] + 1)
+
+    def test_matsunaga_prefix_fault(self, capsys):
+        self.matsunaga_off_at_7_7()
+        code, out = run(capsys, "verify", "identities", "12")
+        lines = out.splitlines()
+        assert code == 1
+        assert len(lines) == 14 and lines[-1] == "13 checks, 9 failures"
+        assert [line for line in lines if line.startswith("FAIL")] == [
+            "FAIL: matsunaga row sums zero (n<=12) [first counterexample n=7]",
+            "FAIL: matsunaga diagonal equals beta [first counterexample n=7]",
+            "FAIL: sum_k M[n,k] n^k = (B_n - 1) n! (2<=n<=12) [first counterexample n=7]",
+            "FAIL: sum form equals recurrence triangle (n<=12) [first counterexample (n,k)=(7, 7)]",
+            "FAIL: alternating |M| formula, exception exactly (3,1) (n<=12) "
+            "[violated at (n,k)=(7, 7)]",
+            "FAIL: closed P_n(v) equals direct P_n(v) on rational grid "
+            "[first counterexample (n,v)=(7, Fraction(1, 1))]",
+            "FAIL: procedure equivalence (Horner = recurrence = shapes, n<=12) "
+            "[raised at n=7: inner sum not divisible by 7! at n=7]",
+            "FAIL: P_n(n) closed/direct agree and n! divides (n<=12) [first counterexample n=7]",
+            "FAIL: P_n(1)/n! alternating-Bell corollary (4<=n<=12) [first counterexample n=7]",
+        ]
+
+    def test_pn_at_n_not_divisible(self, capsys, monkeypatch):
+        # P_7(7) one too large: 7! no longer divides it, so the prefix
+        # raises while the P_n(n) check reads it at n = 7
+        real = exact._pnv_scaled
+        monkeypatch.setattr(exact, "_pnv_scaled", lambda *a: real(*a) + (a == (7, 7, 1)))
+        code, out = run(capsys, "verify", "identities", "10")
+        lines = out.splitlines()
+        assert code == 1
+        assert len(lines) == 14 and lines[-1] == "13 checks, 2 failures"
+        assert [line for line in lines if line.startswith("FAIL")] == [
+            "FAIL: closed P_n(v) equals direct P_n(v) on rational grid "
+            "[first counterexample (n,v)=(7, Fraction(7, 1))]",
+            "FAIL: P_n(n) closed/direct agree and n! divides (n<=10) "
+            "[raised at n=7: P_7(7) not divisible by 7!]",
+        ]
+
+    def test_other_suites_still_report(self, capsys):
+        clean = run(capsys, "verify", "all", "7")[1].splitlines()
+        exact._reset()
+        self.matsunaga_off_at_7_7()
+        code, out = run(capsys, "verify", "all", "7")
+        faulty = out.splitlines()
+        assert code == 1
+        # the identities suite's 13 lines come first; every oracle and
+        # variants line after them prints as on clean prefixes
+        assert len(faulty) == len(clean)
+        assert faulty[13:-1] == clean[13:-1]
+        assert faulty[-1] == f"{len(clean) - 1} checks, 9 failures"

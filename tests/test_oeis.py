@@ -130,10 +130,15 @@ class TestChecking:
 
 
 class TestRowMajorReaders:
-    """Each triangle reader builds its triangle once per request and reads
-    it row by row, across row boundaries, in the triangle's own order."""
+    """Each triangle reader streams its triangle's one row source in
+    ``exact`` (the source that the public builder reads too): one stream
+    per request, read across row boundaries in the triangle's own order,
+    and no row past the last term requested."""
 
-    # (registry key, builder in oeis, flattened reference of rows 1..10 or 0..9)
+    SOURCE = {"stirling_signed_rows": "_stirling_rows", "matsunaga_rows": "_matsunaga_rows",
+              "b_table_rows": "_b_table_rows", "arima_rows": "_arima_rows"}
+
+    # (registry key, builder in exact, flattened reference of rows 1..10 or 0..9)
     @pytest.mark.parametrize("key, builder, flat", [
         ("stirling", "stirling_signed_rows",
          lambda: [v for row in exact.stirling_signed_rows(10).rows for v in row]),
@@ -153,13 +158,33 @@ class TestRowMajorReaders:
         reference = flat()
         # rows 1..9 (or 0..8) end at 45 terms
         count = 45 + offset
-        real = getattr(oeis, builder)
-        calls = []
+        real = getattr(exact, self.SOURCE[builder])
+        calls, pulled = [], []
 
-        def counted(N):
-            calls.append(N)
-            return real(N)
+        def counted():
+            calls.append(1)
+            for row in real():
+                pulled.append(row)
+                yield row
 
-        monkeypatch.setattr(oeis, builder, counted)
+        monkeypatch.setattr(exact, self.SOURCE[builder], counted)
         assert oeis.REGISTRY[key].values(count) == reference[:count]
         assert len(calls) == 1
+        # A175757 drops the Arima source's row 0
+        assert len(pulled) == (9 if offset <= 0 else 10) + (key == "a175757")
+
+    @pytest.mark.parametrize("key", ["a056856", "a220883", "a260887", "a220884"])
+    @pytest.mark.parametrize("k", [2, 3, 9])
+    def test_variant_reader_builds_only_the_rows_it_returns(self, monkeypatch, key, k):
+        # the head row [1], then rows n = 2..k of n entries each
+        real = oeis.variant_triangle
+        calls = []
+
+        def counted(n, which):
+            calls.append(n)
+            return real(n, which)
+
+        monkeypatch.setattr(oeis, "variant_triangle", counted)
+        values = oeis.REGISTRY[key].values(1 + sum(range(2, k + 1)))
+        assert calls == list(range(2, k + 1))
+        assert values[1:] == [v for n in range(2, k + 1) for v in real(n, key.upper()).weights]

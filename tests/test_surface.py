@@ -7,6 +7,10 @@ acceptance criterion does, or where the benchmark's kernel and oracle
 workloads call it by name; a method or property counts as used where one
 of them reads it as an attribute. A function kept alive only by its own
 unit tests fails here.
+
+Two structural guards hold each triangle to one row source: the Stirling
+step is taken only by the row source and the band, and ``oeis`` reads no
+built triangle.
 """
 
 import ast
@@ -90,3 +94,25 @@ def test_public_methods_each_have_a_user(module):
     read = set().union(*map(_attributes, USERS))
     unused = [f"{cls}.{name}" for cls, name in _methods(tree, listed) if name not in read]
     assert not unused, f"no caller outside their own tests: {unused}"
+
+
+def _callers(tree: ast.Module, name: str) -> set[str]:
+    """The functions and methods of a module that call ``name`` by bare name."""
+    return {func.name for func in ast.walk(tree)
+            if isinstance(func, ast.FunctionDef)
+            for node in ast.walk(func)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == name}
+
+
+def test_stirling_rows_are_built_in_one_place():
+    # the band cuts each row as it builds it; every other Stirling row
+    # comes from the one row source
+    assert _callers(_tree(PACKAGE / "exact.py"), "_stirling_next") == {
+        "_stirling_rows", "_stirling_band"}
+
+
+def test_oeis_streams_the_row_sources():
+    # the linear readers read exact's row sources, never a built triangle
+    builders = {"stirling_signed_rows", "matsunaga_rows", "b_table_rows", "arima_rows"}
+    assert not builders & _references(PACKAGE / "oeis.py")
