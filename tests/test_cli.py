@@ -773,15 +773,12 @@ class TestVerifyFailLines:
         # the check sums the rows that `table weighted-matsunaga` prints
         import dataclasses
 
-        real = exact.weighted_matsunaga_rows
+        def fault(table):
+            rows = list(table.rows)
+            rows[5 - table.n_min] = (rows[5 - table.n_min][0] + 1, *rows[5 - table.n_min][1:])
+            return dataclasses.replace(table, rows=tuple(rows))
 
-        def patched(N):
-            t = real(N)
-            rows = list(t.rows)
-            rows[5 - t.n_min] = (rows[5 - t.n_min][0] + 1, *rows[5 - t.n_min][1:])
-            return dataclasses.replace(t, rows=tuple(rows))
-
-        monkeypatch.setattr(exact, "weighted_matsunaga_rows", patched)
+        self.off_at(monkeypatch, exact, "weighted_matsunaga_rows", (12,), fault)
         assert self.fail_lines(capsys, "identities", 12) == [
             "FAIL: sum_k M[n,k] n^k = (B_n - 1) n! (2<=n<=12) [first counterexample n=5]"]
 
