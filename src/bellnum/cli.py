@@ -219,6 +219,11 @@ def _identities(N: int) -> list[Check]:
 
     def pn_at_n_agree(n: int) -> bool:
         vals, norm = exact.pn_at_n(n)
+        # below n = 4 the prefix takes P_n(n) from pnv_eval itself, so there
+        # it is held to the sum form's row, which reads neither that route
+        # nor the Matsunaga prefix
+        if n < 4 and vals[n] != sum(abs(c) * n**k for k, c in enumerate(sum_row(n), start=1)):
+            return False
         return exact.pnv_eval(n, n) == vals[n] == norm[n] * factorial(n)
 
     def corollary(n: int) -> bool:

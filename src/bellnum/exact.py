@@ -20,7 +20,9 @@ row alone, for callers that read a few rows.  Each is checked on the other.
 
 Each triangle has one row source, an unbounded private generator
 (``_stirling_rows``, ``_b_table_rows``, ``_arima_rows``, ``_matsunaga_rows``)
-that the ``TriangleTable`` builders and the ``oeis`` readers all read.
+that the ``TriangleTable`` builders and the ``oeis`` readers all read; the
+``oeis`` readers of B, beta and the Poisson moments stream their prefixes
+term by term (``_poisson_terms``, ``_beta_terms``).
 
 The Horner evaluation is instrumented (every partial accumulator and its
 bit length is recorded) because the intermediate values reach the scale
@@ -579,6 +581,20 @@ def poisson_moments(mean: int, N: int) -> list[int]:
     if mean < 1 or N < 0:
         raise ValueError("need mean >= 1 and N >= 0")
     return _PREFIX.poisson_upto(mean, N)[: N + 1]
+
+
+def _poisson_terms(mean: int) -> Iterator[int]:
+    """Poisson moments 0, 1, ... at ``mean`` (B_n at mean 1): the growing
+    prefix, extended one term at a time as the stream is read."""
+    for n in count():
+        yield _PREFIX.poisson_upto(mean, n)[n]
+
+
+def _beta_terms() -> Iterator[int]:
+    """beta_0, beta_1, ...: the growing prefix, extended one term at a time
+    as the stream is read."""
+    for n in count():
+        yield _PREFIX.betas_upto(n)[n]
 
 
 def _arima_rows() -> Iterator[tuple[int, ...]]:

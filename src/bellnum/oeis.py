@@ -3,21 +3,20 @@
 b-file format: optional '#' comment lines, then one ``index value``
 pair per line (whitespace separated), indices strictly increasing.
 
-The registry maps each supported sequence to a generator producing its
-values in linear (row-major for triangles) order plus the OEIS index of
-the first generated term, so a downloaded b-file can be matched
-directly.  Offsets are configuration: they record how the OEIS indexing
-lines up with this package's row conventions.
+The registry maps each supported sequence to a source of fresh,
+unbounded streams of its values in linear (row-major for triangles)
+order plus the OEIS index of the first term, so a downloaded b-file can
+be matched directly.  Offsets are configuration: they record how the
+OEIS indexing lines up with this package's row conventions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain, count, islice
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterator
 
 from . import exact
-from .exact import bell_numbers, beta_numbers, poisson_moments
 from .distributions import a033306_pmf, variant_triangle
 
 __all__ = [
@@ -71,33 +70,19 @@ def parse_bfile(text: str) -> list[BFileEntry]:
 
 @dataclass(frozen=True)
 class SequenceSpec:
-    """One checkable sequence: linear generator plus its OEIS offset."""
+    """One checkable sequence: a stream of its terms plus its OEIS offset."""
 
     oeis_id: str
     first_index: int
-    values: Callable[[int], list[int]]  # count -> first `count` terms
+    terms: Callable[[], Iterator[int]]  # a fresh unbounded stream from the first index on
     aliases: tuple[str, ...] = ()
 
 
-def _row_major(rows: Callable[[], Iterable[Sequence[int]]]) -> Callable[[int], list[int]]:
-    """Linear generator over the rows of one triangle.  ``rows()`` starts
-    a fresh stream of the triangle's rows in order; a request reads it
-    across row boundaries and stops at its last term, so no row past
-    that term is built.  The row sources of ``exact`` are looked up at
-    call time."""
-
-    def gen(terms: int) -> list[int]:
-        return list(islice(chain.from_iterable(rows()), terms))
-
-    return gen
-
-
-def _variant_linear(which: str, head: list[tuple[int, ...]],
-                    start: int) -> Callable[[int], list[int]]:
+def _variant_terms(which: str, head: list[tuple[int, ...]], start: int) -> Iterator[int]:
     """The rows of ``head``, then those of ``variant_triangle(n, which)``
-    for n = start, start + 1, ..."""
-    return _row_major(
-        lambda: chain(head, (variant_triangle(n, which).weights for n in count(start))))
+    for n = start, start + 1, ..., read across row boundaries."""
+    return chain.from_iterable(
+        chain(head, (variant_triangle(n, which).weights for n in count(start))))
 
 
 REGISTRY: dict[str, SequenceSpec] = {}
@@ -109,31 +94,36 @@ def _register(spec: SequenceSpec) -> None:
         REGISTRY[a.lower()] = spec
 
 
-_register(SequenceSpec("A000110", 0, lambda c: bell_numbers(c - 1), aliases=("bell",)))
-_register(SequenceSpec("A000296", 0, lambda c: beta_numbers(c - 1), aliases=("beta",)))
-_register(SequenceSpec("A001861", 0, lambda c: poisson_moments(2, c - 1), aliases=("tilde-bell",)))
+# The sources of exact are looked up at call time, so a reset of its
+# prefixes or a patched source reaches every new stream.  A triangle is
+# read across row boundaries, so no row past the last term drawn is built.
+_register(SequenceSpec("A000110", 0, lambda: exact._poisson_terms(1), aliases=("bell",)))
+_register(SequenceSpec("A000296", 0, lambda: exact._beta_terms(), aliases=("beta",)))
+_register(SequenceSpec("A001861", 0, lambda: exact._poisson_terms(2), aliases=("tilde-bell",)))
 # the Arima source starts at row 0, the other sources of exact at row 1
-_register(SequenceSpec("A008275", 1, _row_major(lambda: exact._stirling_rows()),
+_register(SequenceSpec("A008275", 1, lambda: chain.from_iterable(exact._stirling_rows()),
                        aliases=("stirling",)))
-_register(SequenceSpec("A056857", 1, _row_major(lambda: exact._arima_rows()),
+_register(SequenceSpec("A056857", 1, lambda: chain.from_iterable(exact._arima_rows()),
                        aliases=("arima",)))
-_register(SequenceSpec("A056860", 1, _row_major(lambda: (r[::-1] for r in exact._arima_rows())),
+_register(SequenceSpec("A056860", 1,
+                       lambda: chain.from_iterable(r[::-1] for r in exact._arima_rows()),
                        aliases=("arima-reversed",)))
-_register(SequenceSpec("A175757", 1, _row_major(
-    lambda: (r[1:] for r in islice(exact._arima_rows(), 1, None)))))
-_register(SequenceSpec("matsunaga", 1, _row_major(lambda: exact._matsunaga_rows())))
-_register(SequenceSpec("b-table", 1, _row_major(lambda: exact._b_table_rows())))
-_register(SequenceSpec("A033306", 0, _row_major(
-    lambda: chain([(1,), (1, 1)], (a033306_pmf(n).weights for n in count(2))))))
-_register(SequenceSpec("A056856", 1, _variant_linear("A056856", [(1,)], 2)))
-_register(SequenceSpec("A220883", 1, _variant_linear("A220883", [(1,)], 2)))
-_register(SequenceSpec("A260887", 1, _variant_linear("A260887", [(1,)], 2)))
-_register(SequenceSpec("A220884", 1, _variant_linear("A220884", [(1,)], 2)))
-_register(SequenceSpec("A124323", 0, _variant_linear("A124323", [(1,), (0, 1)], 2)))
-_register(SequenceSpec("A086659", 1, _variant_linear("A086659", [(0,), (1, 0), (1, 3, 0)], 4)))
-_register(SequenceSpec("A078937", 0, _variant_linear("A078937", [(1,), (2, 1)], 2)))
-_register(SequenceSpec("A078938", 0, _variant_linear("A078938", [(1,), (3, 1)], 2)))
-_register(SequenceSpec("A078939", 0, _variant_linear("A078939", [(1,), (4, 1)], 2)))
+_register(SequenceSpec("A175757", 1, lambda: chain.from_iterable(
+    r[1:] for r in islice(exact._arima_rows(), 1, None))))
+_register(SequenceSpec("matsunaga", 1, lambda: chain.from_iterable(exact._matsunaga_rows())))
+_register(SequenceSpec("b-table", 1, lambda: chain.from_iterable(exact._b_table_rows())))
+_register(SequenceSpec("A033306", 0, lambda: chain.from_iterable(
+    chain([(1,), (1, 1)], (a033306_pmf(n).weights for n in count(2))))))
+_register(SequenceSpec("A056856", 1, lambda: _variant_terms("A056856", [(1,)], 2)))
+_register(SequenceSpec("A220883", 1, lambda: _variant_terms("A220883", [(1,)], 2)))
+_register(SequenceSpec("A260887", 1, lambda: _variant_terms("A260887", [(1,)], 2)))
+_register(SequenceSpec("A220884", 1, lambda: _variant_terms("A220884", [(1,)], 2)))
+_register(SequenceSpec("A124323", 0, lambda: _variant_terms("A124323", [(1,), (0, 1)], 2)))
+_register(SequenceSpec("A086659", 1,
+                       lambda: _variant_terms("A086659", [(0,), (1, 0), (1, 3, 0)], 4)))
+_register(SequenceSpec("A078937", 0, lambda: _variant_terms("A078937", [(1,), (2, 1)], 2)))
+_register(SequenceSpec("A078938", 0, lambda: _variant_terms("A078938", [(1,), (3, 1)], 2)))
+_register(SequenceSpec("A078939", 0, lambda: _variant_terms("A078939", [(1,), (4, 1)], 2)))
 
 
 @dataclass(frozen=True)
@@ -150,7 +140,9 @@ class CheckResult:
 
 def check_bfile(sequence: str, text: str, max_terms: int = 600) -> CheckResult:
     """Compare a b-file with the registry sequence at positions below
-    max_terms only (index minus first index); stop at the first mismatch."""
+    max_terms only (index minus first index).  The whole file is parsed
+    first; the terms are then drawn one per entry, and the comparison
+    stops at the first mismatch, so no term past it is computed."""
     if max_terms < 0:
         raise ValueError(f"max_terms must be >= 0, got {max_terms}")
     key = sequence.lower()
@@ -158,17 +150,17 @@ def check_bfile(sequence: str, text: str, max_terms: int = 600) -> CheckResult:
         raise KeyError(f"unknown sequence {sequence!r}")
     spec = REGISTRY[key]
     entries = parse_bfile(text)
-    usable = [e for e in entries if 0 <= e.index - spec.first_index < max_terms]
-    if not usable:
-        return CheckResult(spec.oeis_id, 0, None, None)
-    need = usable[-1].index - spec.first_index + 1
-    values = spec.values(need)
-    compared = 0
-    for e in usable:
+    terms, drawn, compared = spec.terms(), 0, 0
+    for e in entries:
         pos = e.index - spec.first_index
-        if pos >= len(values):
-            break
-        if values[pos] != e.value:
-            return CheckResult(spec.oeis_id, compared, e, values[pos])
+        if pos < 0:
+            continue
+        if pos >= max_terms:
+            break  # the indices increase, so no later entry is usable
+        # one islice per entry would cost more than the next() it replaces
+        value = next(terms) if pos == drawn else next(islice(terms, pos - drawn, None))
+        drawn = pos + 1
+        if value != e.value:
+            return CheckResult(spec.oeis_id, compared, e, value)
         compared += 1
     return CheckResult(spec.oeis_id, compared, None, None)

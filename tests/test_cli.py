@@ -603,299 +603,3 @@ class TestVerifyAll:
         assert "enumeration total" in out
         assert "two-route moments" in out
 
-
-class TestVerifyIndependence:
-    """The identity checks stay independent of the kernel's routes: beta
-    is derived from B, so a fault in either must show."""
-
-    def test_two_route_moments_sum_over_the_support(self, capsys, monkeypatch):
-        # one unit of mass added at k = n reaches the direct route only
-        import dataclasses
-
-        import bellnum.cli as cli
-
-        fam = cli.FAMILIES["arima"]
-
-        def skewed(n):
-            pmf = fam.build(n)
-            return dataclasses.replace(pmf, weights=pmf.weights[:-1] + (pmf.weights[-1] + 1,),
-                                       total=pmf.total + 1)
-
-        monkeypatch.setitem(cli.FAMILIES, "arima", dataclasses.replace(fam, build=skewed))
-        code, out = run(capsys, "verify", "variants", "6")
-        assert code == 1
-        assert ("FAIL: two-route moments (closed forms = direct, 4<=n<=6) "
-                "[first counterexample ('arima', 4)]") in out.splitlines()
-
-    @pytest.fixture(autouse=True)
-    def fresh(self):
-        exact._reset()
-        yield
-        exact._reset()
-
-    def _line(self, capsys, check="splitting"):
-        code, out = run(capsys, "verify", "identities", "12")
-        return code, next(line for line in out.splitlines() if check in line)
-
-    def test_clean_prefixes_pass(self, capsys):
-        assert self._line(capsys) == (0, "ok: splitting B_n = beta_(n+1) + beta_n (n<=12)")
-
-    def test_corrupted_beta_prefix_fails(self, capsys):
-        exact.beta_numbers(13)
-        exact._PREFIX.betas[9] += 1
-        code, line = self._line(capsys)
-        assert code == 1
-        assert line.startswith("FAIL: splitting")
-
-    def test_corrupted_beta_prefix_fails_the_diagonal(self, capsys):
-        # the recurrence puts the faulty beta_7 on M's diagonal, so only
-        # the binomial route can catch it there
-        exact.beta_numbers(13)
-        exact._PREFIX.betas[7] += 1
-        code, line = self._line(capsys, "diagonal")
-        assert code == 1
-        assert line == "FAIL: matsunaga diagonal equals beta [first counterexample n=7]"
-
-    def test_corrupted_bell_prefix_fails(self, capsys):
-        # beta derived afterwards from the corrupted B agrees with it, so
-        # only the binomial route can catch the fault
-        exact.bell_numbers(6)
-        exact._PREFIX.poisson[1][0][6] += 1
-        code, line = self._line(capsys)
-        assert code == 1
-        assert line == "FAIL: splitting B_n = beta_(n+1) + beta_n (n<=12) [first counterexample n=6]"
-        assert self._line(capsys, "alternating Bell sums")[1].startswith("FAIL")
-        assert self._line(capsys, "procedure equivalence")[1].startswith("FAIL")
-
-
-class TestVerifyFailLines:
-    """One FAIL line per witness form, pinned byte for byte: a fault put
-    into one route shows as that check's first counterexample, and in no
-    other check."""
-
-    @pytest.fixture(autouse=True)
-    def fresh(self):
-        exact._reset()
-        yield
-        exact._reset()
-
-    @staticmethod
-    def off_at(monkeypatch, module, name, bad, fault):
-        real = getattr(module, name)
-
-        def patched(*args):
-            value = real(*args)
-            return fault(value) if args == bad else value
-
-        monkeypatch.setattr(module, name, patched)
-
-    @staticmethod
-    def stats_off_at(monkeypatch, n, **fields):
-        import dataclasses
-
-        from bellnum import partitions
-
-        real = partitions.collect_stats
-
-        def patched(m):
-            st = real(m)
-            if m != n:
-                return st
-            return dataclasses.replace(st, **{k: f(getattr(st, k)) for k, f in fields.items()})
-
-        monkeypatch.setattr(partitions, "collect_stats", patched)
-
-    def fail_lines(self, capsys, suite, n):
-        code, out = run(capsys, "verify", suite, str(n))
-        assert code == 1
-        return [line for line in out.splitlines() if line.startswith("FAIL")]
-
-    def test_first_counterexample_n(self, capsys, monkeypatch):
-        self.off_at(monkeypatch, exact, "bell_via_shapes", (5,), lambda v: v + 1)
-        assert self.fail_lines(capsys, "identities", 12) == [
-            "FAIL: procedure equivalence (Horner = recurrence = shapes, n<=12) "
-            "[first counterexample n=5]"]
-
-    def test_dropped_shape(self, capsys, monkeypatch):
-        real = exact._shapes
-
-        def patched(*args):
-            shapes = real(*args)
-            if args == (5,):
-                next(shapes)  # the walk of 5 loses its first shape
-            return shapes
-
-        monkeypatch.setattr(exact, "_shapes", patched)
-        assert self.fail_lines(capsys, "identities", 12) == [
-            "FAIL: procedure equivalence (Horner = recurrence = shapes, n<=12) "
-            "[first counterexample n=5]"]
-
-    def test_first_counterexample_n_in_variants(self, capsys, monkeypatch):
-        import bellnum.cli as cli
-
-        real = cli.tilde_bell_exact
-        monkeypatch.setattr(cli, "tilde_bell_exact",
-                            lambda n: [v + (i == 3) for i, v in enumerate(real(n))])
-        assert self.fail_lines(capsys, "variants", 6) == [
-            "FAIL: balanced convolution totals equal Poisson(2) moments (n<=6) "
-            "[first counterexample n=3]"]
-
-    def test_first_counterexample_nk(self, capsys, monkeypatch):
-        self.off_at(monkeypatch, exact, "_sum_form_row", (4,),
-                    lambda row: [v + (k == 2) for k, v in enumerate(row, start=1)])
-        # abs_matsunaga_row is the sum-form row with signs, so both checks see the fault
-        assert self.fail_lines(capsys, "identities", 12) == [
-            "FAIL: sum form equals recurrence triangle (n<=12) "
-            "[first counterexample (n,k)=(4, 2)]",
-            "FAIL: alternating |M| formula, exception exactly (3,1) (n<=12) "
-            "[violated at (n,k)=(4, 2)]"]
-
-    def test_first_counterexample_nv(self, capsys, monkeypatch):
-        from fractions import Fraction
-
-        self.off_at(monkeypatch, exact, "pnv_closed", (5, Fraction(-1, 2)), lambda v: v + 1)
-        assert self.fail_lines(capsys, "identities", 12) == [
-            "FAIL: closed P_n(v) equals direct P_n(v) on rational grid "
-            "[first counterexample (n,v)=(5, Fraction(-1, 2))]"]
-
-    def test_pn_at_n_prefix_built_from_a_faulty_closed_form(self, capsys, monkeypatch):
-        # P_7(7)/7! off by one before the prefix holds it (7! still divides,
-        # so pn_at_n takes the value): the prefix stores the fault, and the
-        # direct route must see it.  The rational grid reads (7, 7) too.
-        self.off_at(monkeypatch, exact, "_pnv_scaled", (7, 7, 1), lambda v: v + math.factorial(7))
-        assert self.fail_lines(capsys, "identities", 10) == [
-            "FAIL: closed P_n(v) equals direct P_n(v) on rational grid "
-            "[first counterexample (n,v)=(7, Fraction(7, 1))]",
-            "FAIL: P_n(n) closed/direct agree and n! divides (n<=10) "
-            "[first counterexample n=7]"]
-
-    def test_weighted_entry_off_by_one(self, capsys, monkeypatch):
-        # the check sums the rows that `table weighted-matsunaga` prints
-        import dataclasses
-
-        def fault(table):
-            rows = list(table.rows)
-            rows[5 - table.n_min] = (rows[5 - table.n_min][0] + 1, *rows[5 - table.n_min][1:])
-            return dataclasses.replace(table, rows=tuple(rows))
-
-        self.off_at(monkeypatch, exact, "weighted_matsunaga_rows", (12,), fault)
-        assert self.fail_lines(capsys, "identities", 12) == [
-            "FAIL: sum_k M[n,k] n^k = (B_n - 1) n! (2<=n<=12) [first counterexample n=5]"]
-
-    @pytest.mark.parametrize("bad, witness", [
-        # the one documented sign exception, taken away
-        ((3,), "(3, 1)"),
-        ((5,), "(5, 2)"),
-    ])
-    def test_violated_at_nk(self, capsys, monkeypatch, bad, witness):
-        def fault(row):
-            k = 0 if bad == (3,) else 1
-            return [-v if i == k else v for i, v in enumerate(row)]
-
-        self.off_at(monkeypatch, exact, "abs_matsunaga_row", bad, fault)
-        assert self.fail_lines(capsys, "identities", 12) == [
-            "FAIL: alternating |M| formula, exception exactly (3,1) (n<=12) "
-            f"[violated at (n,k)={witness}]"]
-
-    def test_got(self, capsys, monkeypatch):
-        self.stats_off_at(monkeypatch, 3, total=lambda t: t + 1)
-        assert self.fail_lines(capsys, "oracle", 4) == [
-            "FAIL: enumeration total at n=3 equals B_3=5 [got 6]"]
-
-    def test_bad_shape(self, capsys, monkeypatch):
-        bad = exact.PartitionShape(counts=((1, 1), (2, 1)))
-        self.off_at(monkeypatch, exact, "bell_polynomial_coefficient", (bad,), lambda v: v + 1)
-        assert self.fail_lines(capsys, "oracle", 4) == [
-            "FAIL: shape counts at n=3 equal multinomial coefficients "
-            "[bad shape PartitionShape(counts=((1, 1), (2, 1)))]"]
-
-    def test_first_bad_k(self, capsys, monkeypatch):
-        self.stats_off_at(monkeypatch, 4, singleton_count_hist=lambda h: h[:2] + (h[2] + 1,) + h[3:])
-        assert self.fail_lines(capsys, "oracle", 4) == [
-            "FAIL: singleton-count histogram at n=4 [first bad k=2]"]
-
-    def test_two_route_tuple(self, capsys, monkeypatch):
-        import bellnum.cli as cli
-
-        self.off_at(monkeypatch, cli, "weighted_matsunaga_closed_mean", (5,), lambda v: v + 1)
-        assert self.fail_lines(capsys, "variants", 6) == [
-            "FAIL: two-route moments (closed forms = direct, 4<=n<=6) "
-            "[first counterexample ('weighted-matsunaga', 5)]"]
-
-    def test_two_route_tuple_moments(self, capsys, monkeypatch):
-        import bellnum.cli as cli
-
-        self.off_at(monkeypatch, cli, "matsunaga_closed_moments", (5,),
-                    lambda v: (v[0] + 1, v[1]))
-        assert self.fail_lines(capsys, "variants", 6) == [
-            "FAIL: two-route moments (closed forms = direct, 4<=n<=6) "
-            "[first counterexample ('matsunaga', 5)]"]
-
-
-class TestVerifyRaisingRoutes:
-    """A route that raises ``ArithmeticError`` costs its own check one FAIL
-    line, naming the point and the message; every other line still prints."""
-
-    @pytest.fixture(autouse=True)
-    def fresh(self):
-        exact._reset()
-        yield
-        exact._reset()
-
-    @staticmethod
-    def matsunaga_off_at_7_7():
-        # M[7,7] + 1 in the prefix: row 7 no longer sums to zero, rows 8 on
-        # inherit the fault, and 7! no longer divides the Horner sum at 7
-        exact.matsunaga_rows(7)
-        row = exact._PREFIX.matsunaga[6]
-        exact._PREFIX.matsunaga[6] = (*row[:-1], row[-1] + 1)
-
-    def test_matsunaga_prefix_fault(self, capsys):
-        self.matsunaga_off_at_7_7()
-        code, out = run(capsys, "verify", "identities", "12")
-        lines = out.splitlines()
-        assert code == 1
-        assert len(lines) == 14 and lines[-1] == "13 checks, 9 failures"
-        assert [line for line in lines if line.startswith("FAIL")] == [
-            "FAIL: matsunaga row sums zero (n<=12) [first counterexample n=7]",
-            "FAIL: matsunaga diagonal equals beta [first counterexample n=7]",
-            "FAIL: sum_k M[n,k] n^k = (B_n - 1) n! (2<=n<=12) [first counterexample n=7]",
-            "FAIL: sum form equals recurrence triangle (n<=12) [first counterexample (n,k)=(7, 7)]",
-            "FAIL: alternating |M| formula, exception exactly (3,1) (n<=12) "
-            "[violated at (n,k)=(7, 7)]",
-            "FAIL: closed P_n(v) equals direct P_n(v) on rational grid "
-            "[first counterexample (n,v)=(7, Fraction(1, 1))]",
-            "FAIL: procedure equivalence (Horner = recurrence = shapes, n<=12) "
-            "[raised at n=7: inner sum not divisible by 7! at n=7]",
-            "FAIL: P_n(n) closed/direct agree and n! divides (n<=12) [first counterexample n=7]",
-            "FAIL: P_n(1)/n! alternating-Bell corollary (4<=n<=12) [first counterexample n=7]",
-        ]
-
-    def test_pn_at_n_not_divisible(self, capsys, monkeypatch):
-        # P_7(7) one too large: 7! no longer divides it, so the prefix
-        # raises while the P_n(n) check reads it at n = 7
-        real = exact._pnv_scaled
-        monkeypatch.setattr(exact, "_pnv_scaled", lambda *a: real(*a) + (a == (7, 7, 1)))
-        code, out = run(capsys, "verify", "identities", "10")
-        lines = out.splitlines()
-        assert code == 1
-        assert len(lines) == 14 and lines[-1] == "13 checks, 2 failures"
-        assert [line for line in lines if line.startswith("FAIL")] == [
-            "FAIL: closed P_n(v) equals direct P_n(v) on rational grid "
-            "[first counterexample (n,v)=(7, Fraction(7, 1))]",
-            "FAIL: P_n(n) closed/direct agree and n! divides (n<=10) "
-            "[raised at n=7: P_7(7) not divisible by 7!]",
-        ]
-
-    def test_other_suites_still_report(self, capsys):
-        clean = run(capsys, "verify", "all", "7")[1].splitlines()
-        exact._reset()
-        self.matsunaga_off_at_7_7()
-        code, out = run(capsys, "verify", "all", "7")
-        faulty = out.splitlines()
-        assert code == 1
-        # the identities suite's 13 lines come first; every oracle and
-        # variants line after them prints as on clean prefixes
-        assert len(faulty) == len(clean)
-        assert faulty[13:-1] == clean[13:-1]
-        assert faulty[-1] == f"{len(clean) - 1} checks, 9 failures"

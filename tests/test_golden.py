@@ -13,6 +13,8 @@ import contextlib
 import hashlib
 import io
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -128,6 +130,31 @@ def test_matrix_is_recorded(golden):
 @pytest.mark.parametrize("argv", MATRIX, ids=" ".join)
 def test_golden(argv, golden, tmp_path):
     assert run_argv(argv, tmp_path) == golden[" ".join(argv)]
+
+
+# the order of a set of strings follows the hash seed; no output may
+HASH_SEED_ARGV = [["verify", "all", "7", "--format", "text"],
+                  ["llt", "arima", "6", "--hist", "--format", "csv"],
+                  ["asym", "stirling", "4,10,30", "--format", "text"]]
+HASH_SEED_CHILD = """
+import contextlib, hashlib, io, json, sys
+from bellnum.cli import main
+for argv in json.loads(sys.argv[1]):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main(argv)
+    print(json.dumps({"code": code, "sha256": hashlib.sha256(buf.getvalue().encode()).hexdigest()}))
+"""
+
+
+@pytest.mark.parametrize("seed", ["0", "4242"])
+def test_golden_under_another_hash_seed(golden, seed):
+    src = str(Path(__file__).parents[1] / "src")
+    env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}
+    child = subprocess.run([sys.executable, "-c", HASH_SEED_CHILD, json.dumps(HASH_SEED_ARGV)],
+                           env=env, capture_output=True, text=True, check=True)
+    assert [json.loads(line) for line in child.stdout.splitlines()] == [
+        golden[" ".join(argv)] for argv in HASH_SEED_ARGV]
 
 
 if __name__ == "__main__" and sys.argv[1:] == ["--record"]:

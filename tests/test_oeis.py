@@ -6,6 +6,7 @@ rows), so a match genuinely ties the code to external data.
 """
 
 import dataclasses
+from itertools import islice
 
 import pytest
 
@@ -97,12 +98,13 @@ class TestChecking:
     def test_max_terms_bounds_the_terms_computed(self, monkeypatch, text, compared):
         spec = oeis.REGISTRY["bell"]
 
-        def values(count):
+        def terms():
             # fails at once, where computing B_0..B_999999 would take hours
-            assert count <= 1, f"asked for {count} terms"
-            return spec.values(count)
+            for count, value in enumerate(islice(spec.terms(), 2), start=1):
+                assert count <= 1, f"drew {count} terms"
+                yield value
 
-        monkeypatch.setitem(oeis.REGISTRY, "bell", dataclasses.replace(spec, values=values))
+        monkeypatch.setitem(oeis.REGISTRY, "bell", dataclasses.replace(spec, terms=terms))
         r = oeis.check_bfile("bell", text, max_terms=1)
         assert r.ok == bool(compared) and r.compared == compared
 
@@ -122,7 +124,7 @@ class TestChecking:
             if spec.oeis_id in seen:
                 continue
             seen.add(spec.oeis_id)
-            values = spec.values(25)
+            values = list(islice(spec.terms(), 25))
             assert len(values) == 25
             text = lines(values, start=spec.first_index)
             r = oeis.check_bfile(key, text)
@@ -168,7 +170,7 @@ class TestRowMajorReaders:
                 yield row
 
         monkeypatch.setattr(exact, self.SOURCE[builder], counted)
-        assert oeis.REGISTRY[key].values(count) == reference[:count]
+        assert list(islice(oeis.REGISTRY[key].terms(), count)) == reference[:count]
         assert len(calls) == 1
         # A175757 drops the Arima source's row 0
         assert len(pulled) == (9 if offset <= 0 else 10) + (key == "a175757")
@@ -185,6 +187,22 @@ class TestRowMajorReaders:
             return real(n, which)
 
         monkeypatch.setattr(oeis, "variant_triangle", counted)
-        values = oeis.REGISTRY[key].values(1 + sum(range(2, k + 1)))
+        values = list(islice(oeis.REGISTRY[key].terms(), 1 + sum(range(2, k + 1))))
         assert calls == list(range(2, k + 1))
         assert values[1:] == [v for n in range(2, k + 1) for v in real(n, key.upper()).weights]
+
+    def test_check_stops_at_the_first_mismatch(self, monkeypatch):
+        # 600 terms run to row 35; wrong at index 1, the check needs row 1 only
+        flat = [v for row in exact.stirling_signed_rows(35).rows for v in row][:600]
+        text = lines([flat[0] + 1, *flat[1:]], start=1)
+        real, pulled = exact._stirling_rows, []
+
+        def counted():
+            for row in real():
+                pulled.append(row)
+                yield row
+
+        monkeypatch.setattr(exact, "_stirling_rows", counted)
+        r = oeis.check_bfile("stirling", text)
+        assert (r.compared, r.first_mismatch.index, r.expected) == (0, 1, 1)
+        assert len(pulled) <= 1
