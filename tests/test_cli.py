@@ -603,3 +603,28 @@ class TestVerifyAll:
         assert "enumeration total" in out
         assert "two-route moments" in out
 
+
+
+class TestVerifyIndependence:
+    """The splitting check stays independent of the kernel's routes: beta
+    is derived from B, so a fault in the beta prefix must show."""
+
+    @pytest.fixture(autouse=True)
+    def fresh(self):
+        exact._reset()
+        yield
+        exact._reset()
+
+    def _line(self, capsys, check="splitting"):
+        code, out = run(capsys, "verify", "identities", "12")
+        return code, next(line for line in out.splitlines() if check in line)
+
+    def test_clean_prefixes_pass(self, capsys):
+        assert self._line(capsys) == (0, "ok: splitting B_n = beta_(n+1) + beta_n (n<=12)")
+
+    def test_corrupted_beta_prefix_fails(self, capsys):
+        exact.beta_numbers(13)
+        exact._PREFIX.betas[9] += 1
+        code, line = self._line(capsys)
+        assert code == 1
+        assert line.startswith("FAIL: splitting")
