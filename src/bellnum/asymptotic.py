@@ -39,6 +39,8 @@ __all__ = [
 ]
 
 EULER_GAMMA = 0.5772156649015328606
+_TOL = 1e-12  # relative residual at which lambert_w and the saddle solver stop
+_MAX_ITER = 64  # their iteration limit
 
 
 @dataclass(frozen=True)
@@ -70,12 +72,12 @@ def log_int(x: int) -> float:
     return math.log(x)
 
 
-def lambert_w(x: float, tol: float = 1e-12) -> float:
+def lambert_w(x: float) -> float:
     """Principal branch of W(x) for x > 0, via Halley iteration.
 
     Initial guess is the usual log x - log log x for large x and the
     Taylor start near 0; the returned value satisfies
-    ``|W e^W - x| <= tol * x``.
+    ``|W e^W - x| <= _TOL * x``.
     """
     if x <= 0:
         raise ValueError("lambert_w requires x > 0")
@@ -87,12 +89,12 @@ def lambert_w(x: float, tol: float = 1e-12) -> float:
         w = x * (1.0 - x + 1.5 * x * x)
     else:
         w = 0.5
-    for _ in range(64):
+    for _ in range(_MAX_ITER):
         ew = math.exp(w)
         f = w * ew - x
         wp1 = w + 1.0
         w -= f / (ew * wp1 - (w + 2.0) * f / (2.0 * wp1))
-        if abs(w * math.exp(w) - x) <= tol * x:
+        if abs(w * math.exp(w) - x) <= _TOL * x:
             return w
     raise ArithmeticError(f"lambert_w did not converge for x={x!r}")
 
@@ -179,8 +181,7 @@ def tilde_bell_asym(n: int) -> ApproxValue:
     return ApproxValue(log_value=log_main + math.log(corr), error_order="O(n^-2 (log n)^2)")
 
 
-def _solve_increasing(f, df, target: float, x0: float, name: str,
-                      tol: float = 1e-12, max_iter: int = 64) -> SaddlePoint:
+def _solve_increasing(f, df, target: float, x0: float, name: str) -> SaddlePoint:
     """Newton with a bisection safeguard for an increasing function f.
 
     Fails loudly (ArithmeticError) instead of returning a bad root.
@@ -203,9 +204,9 @@ def _solve_increasing(f, df, target: float, x0: float, name: str,
         if grow > 200:
             raise ArithmeticError(f"{name}: cannot bracket root from above")
     x = min(max(x0, lo), hi)
-    for it in range(1, max_iter + 1):
+    for it in range(1, _MAX_ITER + 1):
         fx = f(x)
-        if abs(fx - target) <= tol * abs(target):
+        if abs(fx - target) <= _TOL * abs(target):
             return SaddlePoint(root=x, residual=(fx - target) / target, iterations=it)
         if fx < target:
             lo = x
@@ -214,7 +215,7 @@ def _solve_increasing(f, df, target: float, x0: float, name: str,
         d = df(x)
         x_new = x - (fx - target) / d if d > 0 else math.nan
         x = x_new if lo < x_new < hi else 0.5 * (lo + hi)
-    raise ArithmeticError(f"{name}: no convergence after {max_iter} iterations")
+    raise ArithmeticError(f"{name}: no convergence after {_MAX_ITER} iterations")
 
 
 def solve_mw2_saddle(n: int, k: int) -> SaddlePoint:

@@ -46,7 +46,7 @@ from .distributions import (
     variant_triangle,
     weighted_matsunaga_closed_mean,
 )
-from .oeis import BFileParseError, check_bfile, REGISTRY
+from .oeis import BFileParseError, check_bfile, MAX_TERMS, REGISTRY
 
 __all__ = ["main", "build_parser"]
 
@@ -142,10 +142,7 @@ def cmd_table(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
         "arima": exact.arima_rows,
         "b-table": exact.b_table_rows,
     }
-    try:
-        table = builders[seq](N)
-    except ValueError as e:
-        raise UsageError(str(e)) from None
+    table = builders[seq](N)
     if isinstance(table, exact.TriangleTable):
         return 0, _render(args.format, ["n", "k", "value"], table, seq)
     rows = [[n, v] for n, v in enumerate(table)][seq == "pn-at-n":]  # P_n(n) starts at n = 1
@@ -587,7 +584,7 @@ def cmd_oeis_check(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
         raise BFileParseError(f"cannot read {args.bfile}: {e.strerror}") from None
     except UnicodeDecodeError as e:
         raise BFileParseError(f"cannot decode {args.bfile} as UTF-8: {e.reason}") from None
-    cap = args.max_n if args.max_n is not None else 600
+    cap = args.max_n if args.max_n is not None else MAX_TERMS
     result = check_bfile(args.sequence, text, max_terms=cap)
     if result.ok:
         return 0, [f"match: {result.compared} values of {result.sequence}\n"]

@@ -116,6 +116,11 @@ def moments_exact(pmf: DiscretePMF) -> tuple[Fraction, Fraction]:
     return Fraction(s1, t), Fraction(s2 * t - s1 * s1, t * t)
 
 
+def _binomial_row(n: int, terms: Sequence[int]) -> list[int]:
+    """``C(n,k) terms[n-k]`` for k = 0..n."""
+    return [comb(n, k) * terms[n - k] for k in range(n + 1)]
+
+
 # ---------------------------------------------------------------- families
 
 
@@ -205,20 +210,16 @@ def arima_pmf(n: int) -> DiscretePMF:
     """Distribution of ``C(n,k) B_{n-k}`` over k = 0..n (total B_{n+1})."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    bells = bell_numbers(n)
-    return pmf_from_weights(
-        0, [comb(n, k) * bells[n - k] for k in range(n + 1)], name=f"arima[{n}]"
-    )
+    return pmf_from_weights(0, _binomial_row(n, bell_numbers(n)), name=f"arima[{n}]")
 
 
 def arima_reversed_pmf(n: int) -> DiscretePMF:
     """Row-reversed variant ``C(n,k) B_k``."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    bells = bell_numbers(n)
-    return pmf_from_weights(
-        0, [comb(n, k) * bells[k] for k in range(n + 1)], name=f"arima_reversed[{n}]"
-    )
+    # C(n,k) = C(n,n-k), so this is the Arima row read backwards
+    return pmf_from_weights(0, _binomial_row(n, bell_numbers(n))[::-1],
+                            name=f"arima_reversed[{n}]")
 
 
 def arima_exact_moments(n: int) -> tuple[Fraction, Fraction]:
@@ -245,10 +246,7 @@ def a033306_pmf(n: int) -> DiscretePMF:
     total is the n-th Poisson(2) moment."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    b = bell_numbers(n)
-    return pmf_from_weights(
-        0, [comb(n, k) * b[k] * b[n - k] for k in range(n + 1)], name=f"a033306[{n}]"
-    )
+    return pmf_from_weights(0, _a033306_row(n), name=f"a033306[{n}]")
 
 
 def a033306_exact_moments(n: int) -> tuple[Fraction, Fraction]:
@@ -279,46 +277,41 @@ def _poly_product(factors: Sequence[tuple[int, int]]) -> list[int]:
     return coeffs
 
 
-def variant_triangle(n: int, which: str) -> DiscretePMF:
-    """Row n of one of the variant triangles, as a distribution.
+def _a033306_row(n: int) -> list[int]:
+    b = bell_numbers(n)
+    return [w * bk for w, bk in zip(_binomial_row(n, b), b)]
 
-    Product-form triangles are expanded by exact polynomial
-    multiplication; the EGF-derived ones use their binomial closed
-    forms (for the singleton-marker family the k = n unit mass is
-    removed in closed form, which is exactly what subtracting the
-    pure-exponential term does).
-    """
+
+# Row n of each variant triangle, from the sequence's first OEIS index
+# on: the product forms are expanded by exact polynomial multiplication,
+# the EGF-derived ones use their binomial closed forms.  The
+# singleton-marker row A086659 removes the k = n unit mass in closed
+# form (which is what subtracting the pure-exponential term does); it
+# reads beta itself, not the A124323 row that verify compares it with.
+_VARIANT_ROWS: dict[str, Callable[[int], list[int]]] = {
+    "A033306": _a033306_row,
+    "A056856": lambda n: [abs(v) * n**i for i, v in enumerate(stirling_signed_row(n))],
+    "A220883": lambda n: _poly_product([(j, n + 1) for j in range(1, n)]),
+    "A260887": lambda n: _poly_product([(j, n) for j in range(2, n + 1)]),
+    "A220884": lambda n: _poly_product([(j, n + 1 - j) for j in range(2, n + 1)]),
+    "A078937": lambda n: _binomial_row(n, poisson_moments(2, n)),
+    "A078938": lambda n: _binomial_row(n, poisson_moments(3, n)),
+    "A078939": lambda n: _binomial_row(n, poisson_moments(4, n)),
+    "A124323": lambda n: _binomial_row(n, beta_numbers(n)),
+    "A086659": lambda n: [comb(n, k) * b for k, b in zip(range(n), beta_numbers(n)[::-1])],
+}
+
+
+def variant_triangle(n: int, which: str) -> DiscretePMF:
+    """Row n of one of the variant triangles, as a distribution over
+    k = 0.. (k = 1.. for A056856, whose rows start at |s(n,1)|)."""
     if n < 2:
         raise ValueError("n must be >= 2")
-    if which == "A056856":
-        srow = stirling_signed_row(n)
-        return pmf_from_weights(
-            1, [abs(v) * n ** (k - 1) for k, v in zip(range(1, n + 1), srow)], name=which
-        )
-    if which == "A220883":
-        coeffs = _poly_product([(j, n + 1) for j in range(1, n)])
-        return pmf_from_weights(0, coeffs, name=which)
-    if which == "A260887":
-        coeffs = _poly_product([(j, n) for j in range(2, n + 1)])
-        return pmf_from_weights(0, coeffs, name=which)
-    if which == "A220884":
-        coeffs = _poly_product([(j, n + 1 - j) for j in range(2, n + 1)])
-        return pmf_from_weights(0, coeffs, name=which)
-    if which in ("A078937", "A078938", "A078939"):
-        a = {"A078937": 2, "A078938": 3, "A078939": 4}[which]
-        m = poisson_moments(a, n)
-        return pmf_from_weights(0, [comb(n, k) * m[n - k] for k in range(n + 1)], name=which)
-    if which == "A124323":
-        beta = beta_numbers(n)
-        return pmf_from_weights(0, [comb(n, k) * beta[n - k] for k in range(n + 1)], name=which)
-    if which == "A086659":
-        if n < 4:
-            raise ValueError("A086659 is degenerate below n = 4")
-        beta = beta_numbers(n)
-        return pmf_from_weights(
-            0, [comb(n, k) * beta[n - k] for k in range(n)], name=which
-        )
-    raise ValueError(f"unknown variant triangle {which!r}")
+    if which == "A086659" and n < 4:
+        raise ValueError("A086659 is degenerate below n = 4")
+    if which not in _VARIANT_ROWS:
+        raise ValueError(f"unknown variant triangle {which!r}")
+    return pmf_from_weights(int(which == "A056856"), _VARIANT_ROWS[which](n), name=which)
 
 
 # ------------------------------------------------------------------ LLT

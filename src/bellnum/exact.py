@@ -621,14 +621,12 @@ def arima_rows(N: int) -> TriangleTable:
 def solve_bell_inverse(target: int) -> int | None:
     """Smallest n with B_n equal to the target, or None.
 
-    Bell numbers increase strictly from n = 1 on, so the scan stops as
-    soon as they pass the target.
+    Bell numbers increase strictly from n = 1 on, so the scan from n = 0
+    stops as soon as they pass the target.
     """
     if target < 1:
         raise ValueError("target must be >= 1")
-    if target == 1:
-        return 0
-    n = 1
+    n = 0
     while _PREFIX.bells_upto(n)[n] < target:
         n += 1
     return n if _PREFIX.bells_upto(n)[n] == target else None

@@ -16,10 +16,10 @@ from dataclasses import dataclass
 from itertools import chain, count, islice
 from typing import Callable, Iterator
 
-from . import exact
-from .distributions import a033306_pmf, variant_triangle
+from . import distributions, exact
 
 __all__ = [
+    "MAX_TERMS",
     "BFileEntry",
     "BFileParseError",
     "SequenceSpec",
@@ -28,6 +28,8 @@ __all__ = [
     "parse_bfile",
     "check_bfile",
 ]
+
+MAX_TERMS = 600  # terms compared by default, from the first index on
 
 
 @dataclass(frozen=True)
@@ -78,13 +80,6 @@ class SequenceSpec:
     aliases: tuple[str, ...] = ()
 
 
-def _variant_terms(which: str, head: list[tuple[int, ...]], start: int) -> Iterator[int]:
-    """The rows of ``head``, then those of ``variant_triangle(n, which)``
-    for n = start, start + 1, ..., read across row boundaries."""
-    return chain.from_iterable(
-        chain(head, (variant_triangle(n, which).weights for n in count(start))))
-
-
 REGISTRY: dict[str, SequenceSpec] = {}
 
 
@@ -112,18 +107,13 @@ _register(SequenceSpec("A175757", 1, lambda: chain.from_iterable(
     r[1:] for r in islice(exact._arima_rows(), 1, None))))
 _register(SequenceSpec("matsunaga", 1, lambda: chain.from_iterable(exact._matsunaga_rows())))
 _register(SequenceSpec("b-table", 1, lambda: chain.from_iterable(exact._b_table_rows())))
-_register(SequenceSpec("A033306", 0, lambda: chain.from_iterable(
-    chain([(1,), (1, 1)], (a033306_pmf(n).weights for n in count(2))))))
-_register(SequenceSpec("A056856", 1, lambda: _variant_terms("A056856", [(1,)], 2)))
-_register(SequenceSpec("A220883", 1, lambda: _variant_terms("A220883", [(1,)], 2)))
-_register(SequenceSpec("A260887", 1, lambda: _variant_terms("A260887", [(1,)], 2)))
-_register(SequenceSpec("A220884", 1, lambda: _variant_terms("A220884", [(1,)], 2)))
-_register(SequenceSpec("A124323", 0, lambda: _variant_terms("A124323", [(1,), (0, 1)], 2)))
-_register(SequenceSpec("A086659", 1,
-                       lambda: _variant_terms("A086659", [(0,), (1, 0), (1, 3, 0)], 4)))
-_register(SequenceSpec("A078937", 0, lambda: _variant_terms("A078937", [(1,), (2, 1)], 2)))
-_register(SequenceSpec("A078938", 0, lambda: _variant_terms("A078938", [(1,), (3, 1)], 2)))
-_register(SequenceSpec("A078939", 0, lambda: _variant_terms("A078939", [(1,), (4, 1)], 2)))
+# The variant triangles stream their row formulas in distributions, which
+# start at the first OEIS index.
+for _id, _first in [("A033306", 0), ("A056856", 1), ("A220883", 1), ("A260887", 1),
+                    ("A220884", 1), ("A124323", 0), ("A086659", 1), ("A078937", 0),
+                    ("A078938", 0), ("A078939", 0)]:
+    _register(SequenceSpec(_id, _first, lambda which=_id, first=_first: chain.from_iterable(
+        map(distributions._VARIANT_ROWS[which], count(first)))))
 
 
 @dataclass(frozen=True)
@@ -138,7 +128,7 @@ class CheckResult:
         return self.first_mismatch is None and self.compared > 0
 
 
-def check_bfile(sequence: str, text: str, max_terms: int = 600) -> CheckResult:
+def check_bfile(sequence: str, text: str, max_terms: int = MAX_TERMS) -> CheckResult:
     """Compare a b-file with the registry sequence at positions below
     max_terms only (index minus first index).  The whole file is parsed
     first; the terms are then drawn one per entry, and the comparison

@@ -10,7 +10,7 @@ from itertools import islice
 
 import pytest
 
-from bellnum import exact, oeis
+from bellnum import distributions, exact, oeis
 
 BETA_PUBLISHED = [1, 0, 1, 1, 4, 11, 41, 162, 715, 3425, 17722, 98253, 580317]
 BELL_PUBLISHED = [1, 1, 2, 5, 15, 52, 203, 877, 4140]
@@ -178,18 +178,39 @@ class TestRowMajorReaders:
     @pytest.mark.parametrize("key", ["a056856", "a220883", "a260887", "a220884"])
     @pytest.mark.parametrize("k", [2, 3, 9])
     def test_variant_reader_builds_only_the_rows_it_returns(self, monkeypatch, key, k):
-        # the head row [1], then rows n = 2..k of n entries each
-        real = oeis.variant_triangle
+        # rows n = 1..k of n entries each
+        real = distributions._VARIANT_ROWS[key.upper()]
         calls = []
 
-        def counted(n, which):
+        def counted(n):
             calls.append(n)
-            return real(n, which)
+            return real(n)
 
-        monkeypatch.setattr(oeis, "variant_triangle", counted)
-        values = list(islice(oeis.REGISTRY[key].terms(), 1 + sum(range(2, k + 1))))
-        assert calls == list(range(2, k + 1))
-        assert values[1:] == [v for n in range(2, k + 1) for v in real(n, key.upper()).weights]
+        monkeypatch.setitem(distributions._VARIANT_ROWS, key.upper(), counted)
+        values = list(islice(oeis.REGISTRY[key].terms(), sum(range(1, k + 1))))
+        assert calls == list(range(1, k + 1))
+        assert values == [v for n in range(1, k + 1) for v in real(n)]
+
+    # rows below n = 4 from the first OEIS index on, as OEIS lists them
+    @pytest.mark.parametrize("key, rows", [
+        ("a033306", [(1,), (1, 1), (2, 2, 2), (5, 6, 6, 5)]),
+        ("a056856", [(1,), (1, 2), (2, 9, 9)]),
+        ("a220883", [(1,), (1, 3), (2, 12, 16)]),
+        ("a260887", [(1,), (2, 2), (6, 15, 9)]),
+        ("a220884", [(1,), (2, 1), (6, 8, 2)]),
+        ("a124323", [(1,), (0, 1), (1, 0, 1), (1, 3, 0, 1)]),
+        ("a086659", [(0,), (1, 0), (1, 3, 0)]),
+        ("a078937", [(1,), (2, 1), (6, 4, 1), (22, 18, 6, 1)]),
+        ("a078938", [(1,), (3, 1), (12, 6, 1), (57, 36, 9, 1)]),
+        ("a078939", [(1,), (4, 1), (20, 8, 1), (116, 60, 12, 1)]),
+    ])
+    def test_variant_low_rows(self, key, rows):
+        spec = oeis.REGISTRY[key]
+        assert spec.first_index == 4 - len(rows)
+        row = distributions._VARIANT_ROWS[key.upper()]
+        assert [tuple(row(n)) for n in range(spec.first_index, 4)] == rows
+        flat = [v for r in rows for v in r]
+        assert list(islice(spec.terms(), len(flat))) == flat
 
     def test_check_stops_at_the_first_mismatch(self, monkeypatch):
         # 600 terms run to row 35; wrong at index 1, the check needs row 1 only

@@ -113,6 +113,8 @@ def test_stirling_rows_are_built_in_one_place():
 
 
 def test_oeis_streams_the_row_sources():
-    # the linear readers read exact's row sources, never a built triangle
-    builders = {"stirling_signed_rows", "matsunaga_rows", "b_table_rows", "arima_rows"}
+    # the linear readers read exact's row sources and the row formulas of
+    # distributions, never a built triangle or distribution
+    builders = {"stirling_signed_rows", "matsunaga_rows", "b_table_rows", "arima_rows",
+                "variant_triangle", "a033306_pmf"}
     assert not builders & _references(PACKAGE / "oeis.py")
