@@ -278,6 +278,7 @@ def _poly_product(factors: Sequence[tuple[int, int]]) -> list[int]:
 
 
 def _a033306_row(n: int) -> list[int]:
+    """``C(n,k) B_k B_{n-k}`` for k = 0..n."""
     b = bell_numbers(n)
     return [w * bk for w, bk in zip(_binomial_row(n, b), b)]
 

@@ -23,7 +23,7 @@ from typing import Callable, NamedTuple
 
 import pytest
 
-from bellnum import cli, exact, partitions
+from bellnum import cli, distributions, exact, partitions
 
 MODULES = {"cli": cli, "exact": exact, "partitions": partitions}
 
@@ -67,8 +67,9 @@ def _change(fault: int | Callable) -> tuple[Callable, str]:
 
 
 def off(route: str, bad: tuple, fault: int | Callable) -> Fault:
-    """``route`` (``module.name``, or ``FAMILIES.<family>`` for its build)
-    off at the arguments ``bad``."""
+    """``route`` (``module.name``, ``FAMILIES.<family>`` for its build, or
+    ``_VARIANT_ROWS.<id>`` for a variant row formula) off at the arguments
+    ``bad``."""
     owner, name = route.split(".")
     change, shown = _change(fault)
 
@@ -79,6 +80,9 @@ def off(route: str, bad: tuple, fault: int | Callable) -> Fault:
         if owner == "FAMILIES":
             fam = cli.FAMILIES[name]
             monkeypatch.setitem(cli.FAMILIES, name, dataclasses.replace(fam, build=at_bad(fam.build)))
+        elif owner == "_VARIANT_ROWS":
+            rows = distributions._VARIANT_ROWS
+            monkeypatch.setitem(rows, name, at_bad(rows[name]))
         else:
             monkeypatch.setattr(MODULES[owner], name, at_bad(getattr(MODULES[owner], name)))
 
@@ -227,6 +231,10 @@ ROWS = [
     Row("balanced convolution totals", off("cli.tilde_bell_exact", (6,), bump(3)), "variants 6", [
         "FAIL: balanced convolution totals equal Poisson(2) moments (n<=6) [first counterexample n=3]"]),
     Row("singleton-marker triangles", off("cli.variant_triangle", (5, "A124323"), add_mass(0)), "variants 8", [
+        "FAIL: singleton-marker triangles (k=0 column, unit-mass removal, n<=8) [first counterexample n=5]"]),
+    # the A124323 row formula itself: A086659 must not read it, or the
+    # unit-mass removal would hold by construction
+    Row("singleton-marker triangles", off("_VARIANT_ROWS.A124323", (5,), bump(1)), "variants 8", [
         "FAIL: singleton-marker triangles (k=0 column, unit-mass removal, n<=8) [first counterexample n=5]"]),
     # mass added at k = n reaches the route that sums over the support only
     Row("two-route moments", off("FAMILIES.arima", (4,), add_mass(4)), "variants 6", [
