@@ -1,6 +1,10 @@
 """Discrete distributions built from the exact triangles, their exact
 and asymptotic moments, and local-limit-theorem deviation reports.
 
+Every distribution is row n of one entry of one table, ``_ROWS``: the
+paper's triangles (Matsunaga's M, its n^k-weighted form, Arima's) and
+the OEIS variant triangles, each built by ``row_pmf``.
+
 A family's probabilities are exact rationals (weights over an exact
 total); floats appear only at the very end, when a probability or a
 moment is compared against a Gaussian.  The sup deviation of a family
@@ -34,20 +38,15 @@ __all__ = [
     "FAMILIES",
     "pmf_from_weights",
     "moments_exact",
-    "matsunaga_pmf",
+    "row_pmf",
     "matsunaga_closed_moments",
     "matsunaga_asym_moments",
-    "weighted_matsunaga_pmf",
     "weighted_matsunaga_closed_mean",
     "weighted_matsunaga_asym_moments",
-    "arima_pmf",
-    "arima_reversed_pmf",
     "arima_exact_moments",
     "arima_asym_moments",
-    "a033306_pmf",
     "a033306_exact_moments",
     "a033306_asym_variance",
-    "variant_triangle",
     "llt_report",
     "bnk_ratio_uniformity",
     "decay_exponent",
@@ -121,15 +120,7 @@ def _binomial_row(n: int, terms: Sequence[int]) -> list[int]:
     return [comb(n, k) * terms[n - k] for k in range(n + 1)]
 
 
-# ---------------------------------------------------------------- families
-
-
-def matsunaga_pmf(n: int) -> DiscretePMF:
-    """Distribution of |M[n,k]| over k = 1..n, from the sum-form row alone
-    (``abs_matsunaga_row`` differs from |M| in one sign only)."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return pmf_from_weights(1, [abs(v) for v in abs_matsunaga_row(n)], name=f"matsunaga[{n}]")
+# --------------------------------------------------------- family moments
 
 
 def matsunaga_closed_moments(n: int) -> tuple[Fraction, Fraction]:
@@ -168,16 +159,6 @@ def matsunaga_asym_moments(n: int) -> tuple[float, float]:
     return mu, s2
 
 
-def weighted_matsunaga_pmf(n: int) -> DiscretePMF:
-    """Distribution of |M[n,k]| n^k over k = 1..n (n >= 4; the low rows
-    are excluded together with the (3,1) sign exception)."""
-    if n < 4:
-        raise ValueError("n must be >= 4")
-    row = abs_matsunaga_row(n)
-    weights = [abs(v) * n**k for k, v in zip(range(1, n + 1), row)]
-    return pmf_from_weights(1, weights, name=f"weighted_matsunaga[{n}]")
-
-
 def weighted_matsunaga_closed_mean(n: int) -> Fraction:
     """Closed-form mean of the n^k-weighted family:
     ``sum_k k |M[n,k]| n^k = n n! sum_j C(2n-1-j, n-j) (-1)^j beta_{n-j}
@@ -206,22 +187,6 @@ def weighted_matsunaga_asym_moments(n: int) -> tuple[float, float]:
     return mu, s2
 
 
-def arima_pmf(n: int) -> DiscretePMF:
-    """Distribution of ``C(n,k) B_{n-k}`` over k = 0..n (total B_{n+1})."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return pmf_from_weights(0, _binomial_row(n, bell_numbers(n)), name=f"arima[{n}]")
-
-
-def arima_reversed_pmf(n: int) -> DiscretePMF:
-    """Row-reversed variant ``C(n,k) B_k``."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    # C(n,k) = C(n,n-k), so this is the Arima row read backwards
-    return pmf_from_weights(0, _binomial_row(n, bell_numbers(n))[::-1],
-                            name=f"arima_reversed[{n}]")
-
-
 def arima_exact_moments(n: int) -> tuple[Fraction, Fraction]:
     """Exact ``mu_n = n B_n / B_{n+1}`` and
     ``sigma_n^2 = (n(n-1) B_{n-1} + n B_n)/B_{n+1} - mu_n^2``."""
@@ -241,14 +206,6 @@ def arima_asym_moments(n: int) -> tuple[float, float]:
     return mu, s2
 
 
-def a033306_pmf(n: int) -> DiscretePMF:
-    """Balanced convolution ``C(n,k) B_k B_{n-k}`` over k = 0..n; the
-    total is the n-th Poisson(2) moment."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return pmf_from_weights(0, _a033306_row(n), name=f"a033306[{n}]")
-
-
 def a033306_exact_moments(n: int) -> tuple[Fraction, Fraction]:
     """Mean is identically n/2; variance is
     ``n/4 + n(n-1) T_{n-1} / (4 T_n)`` with T the Poisson(2) moments."""
@@ -266,7 +223,7 @@ def a033306_asym_variance(n: int) -> float:
     return (w + 1.0) / 4.0 * n - w * (w * w + 2.0 * w + 2.0) / (8.0 * (w + 1.0) ** 2)
 
 
-# ------------------------------------------------------------- variants
+# ------------------------------------------------------------------ rows
 
 
 def _poly_product(factors: Sequence[tuple[int, int]]) -> list[int]:
@@ -283,36 +240,47 @@ def _a033306_row(n: int) -> list[int]:
     return [w * bk for w, bk in zip(_binomial_row(n, b), b)]
 
 
-# Row n of each variant triangle, from the sequence's first OEIS index
-# on: the product forms are expanded by exact polynomial multiplication,
-# the EGF-derived ones use their binomial closed forms.  The
-# singleton-marker row A086659 removes the k = n unit mass in closed
-# form (which is what subtracting the pure-exponential term does); it
-# reads beta itself, not the A124323 row that verify compares it with.
-_VARIANT_ROWS: dict[str, Callable[[int], list[int]]] = {
-    "A033306": _a033306_row,
-    "A056856": lambda n: [abs(v) * n**i for i, v in enumerate(stirling_signed_row(n))],
-    "A220883": lambda n: _poly_product([(j, n + 1) for j in range(1, n)]),
-    "A260887": lambda n: _poly_product([(j, n) for j in range(2, n + 1)]),
-    "A220884": lambda n: _poly_product([(j, n + 1 - j) for j in range(2, n + 1)]),
-    "A078937": lambda n: _binomial_row(n, poisson_moments(2, n)),
-    "A078938": lambda n: _binomial_row(n, poisson_moments(3, n)),
-    "A078939": lambda n: _binomial_row(n, poisson_moments(4, n)),
-    "A124323": lambda n: _binomial_row(n, beta_numbers(n)),
-    "A086659": lambda n: [comb(n, k) * b for k, b in zip(range(n), beta_numbers(n)[::-1])],
+# Every row behind a distribution, keyed by the lower-case family name or
+# OEIS id: (first n of the distribution, k of the row's first entry,
+# row n).  The first n is the distribution's domain; each formula also
+# holds from the sequence's first OEIS index on, where `oeis` streams it.
+# The Matsunaga rows come from the sum form alone (``abs_matsunaga_row``
+# differs from |M| in one sign only); the n^k-weighted rows start at 4,
+# which excludes the (3,1) sign exception.  The Arima row C(n,k) B_{n-k}
+# totals B_{n+1}; read backwards it is C(n,k) B_k, since C(n,k) = C(n,n-k).
+# The product forms are expanded by exact polynomial multiplication, the
+# EGF-derived ones use their binomial closed forms.  The singleton-marker
+# row A086659 removes the k = n unit mass in closed form (which is what
+# subtracting the pure-exponential term does); it reads beta itself, not
+# the A124323 row that verify compares it with.
+_ROWS: dict[str, tuple[int, int, Callable[[int], list[int]]]] = {
+    "matsunaga": (1, 1, lambda n: [abs(v) for v in abs_matsunaga_row(n)]),
+    "weighted-matsunaga": (4, 1, lambda n: [abs(v) * n**k for k, v in
+                                           enumerate(abs_matsunaga_row(n), 1)]),
+    "arima": (1, 0, lambda n: _binomial_row(n, bell_numbers(n))),
+    "arima-reversed": (1, 0, lambda n: _binomial_row(n, bell_numbers(n))[::-1]),
+    "a033306": (1, 0, _a033306_row),
+    "a056856": (2, 1, lambda n: [abs(v) * n**i for i, v in enumerate(stirling_signed_row(n))]),
+    "a220883": (2, 0, lambda n: _poly_product([(j, n + 1) for j in range(1, n)])),
+    "a260887": (2, 0, lambda n: _poly_product([(j, n) for j in range(2, n + 1)])),
+    "a220884": (2, 0, lambda n: _poly_product([(j, n + 1 - j) for j in range(2, n + 1)])),
+    "a078937": (2, 0, lambda n: _binomial_row(n, poisson_moments(2, n))),
+    "a078938": (2, 0, lambda n: _binomial_row(n, poisson_moments(3, n))),
+    "a078939": (2, 0, lambda n: _binomial_row(n, poisson_moments(4, n))),
+    "a124323": (2, 0, lambda n: _binomial_row(n, beta_numbers(n))),
+    "a086659": (4, 0, lambda n: [comb(n, k) * b for k, b in zip(range(n), beta_numbers(n)[::-1])]),
 }
 
 
-def variant_triangle(n: int, which: str) -> DiscretePMF:
-    """Row n of one of the variant triangles, as a distribution over
-    k = 0.. (k = 1.. for A056856, whose rows start at |s(n,1)|)."""
-    if n < 2:
-        raise ValueError("n must be >= 2")
-    if which == "A086659" and n < 4:
-        raise ValueError("A086659 is degenerate below n = 4")
-    if which not in _VARIANT_ROWS:
-        raise ValueError(f"unknown variant triangle {which!r}")
-    return pmf_from_weights(int(which == "A056856"), _VARIANT_ROWS[which](n), name=which)
+def row_pmf(which: str, n: int) -> DiscretePMF:
+    """Row n of the ``_ROWS`` entry ``which`` as a distribution over
+    k = k_min.. (k = 1.. for the Matsunaga rows and A056856)."""
+    if which not in _ROWS:
+        raise ValueError(f"unknown row {which!r}")
+    first, k_min, row = _ROWS[which]
+    if n < first:
+        raise ValueError(f"n must be >= {first}")
+    return pmf_from_weights(k_min, row(n), name=f"{which}[{n}]")
 
 
 # ------------------------------------------------------------------ LLT
@@ -398,70 +366,70 @@ _LOG2 = math.log(2.0)
 FAMILIES: dict[str, LLTFamily] = {
     "matsunaga": LLTFamily(
         name="matsunaga",
-        build=matsunaga_pmf,
+        build=lambda n: row_pmf("matsunaga", n),
         mu_asym=lambda n: matsunaga_asym_moments(n)[0],
         sigma2_asym=lambda n: matsunaga_asym_moments(n)[1],
         rate_tag="(log n)^-1/2",
     ),
     "weighted-matsunaga": LLTFamily(
         name="weighted-matsunaga",
-        build=weighted_matsunaga_pmf,
+        build=lambda n: row_pmf("weighted-matsunaga", n),
         mu_asym=lambda n: weighted_matsunaga_asym_moments(n)[0],
         sigma2_asym=lambda n: weighted_matsunaga_asym_moments(n)[1],
         rate_tag="n^-1/2",
     ),
     "arima": LLTFamily(
         name="arima",
-        build=arima_pmf,
+        build=lambda n: row_pmf("arima", n),
         mu_asym=lambda n: arima_asym_moments(n)[0],
         sigma2_asym=lambda n: arima_asym_moments(n)[1],
         rate_tag="(log n)^-1/2",
     ),
     "arima-reversed": LLTFamily(
         name="arima-reversed",
-        build=arima_reversed_pmf,
+        build=lambda n: row_pmf("arima-reversed", n),
         mu_asym=lambda n: n - arima_asym_moments(n)[0],
         sigma2_asym=lambda n: arima_asym_moments(n)[1],
         rate_tag="(log n)^-1/2",
     ),
     "a033306": LLTFamily(
         name="a033306",
-        build=a033306_pmf,
+        build=lambda n: row_pmf("a033306", n),
         mu_asym=lambda n: n / 2.0,
         sigma2_asym=a033306_asym_variance,
         rate_tag="log(n)/n",
     ),
     "a056856": LLTFamily(
         name="a056856",
-        build=lambda n: variant_triangle(n, "A056856"),
+        build=lambda n: row_pmf("a056856", n),
         mu_asym=lambda n: _LOG2 * n,
         sigma2_asym=lambda n: (_LOG2 - 0.5) * n,
         rate_tag="n^-1/2",
     ),
     "a220883": LLTFamily(
         name="a220883",
-        build=lambda n: variant_triangle(n, "A220883"),
+        build=lambda n: row_pmf("a220883", n),
         mu_asym=lambda n: _LOG2 * n,
         sigma2_asym=lambda n: (_LOG2 - 0.5) * n,
         rate_tag="n^-1/2",
     ),
     "a260887": LLTFamily(
         name="a260887",
-        build=lambda n: variant_triangle(n, "A260887"),
+        build=lambda n: row_pmf("a260887", n),
         mu_asym=lambda n: _LOG2 * n,
         sigma2_asym=lambda n: (_LOG2 - 0.5) * n,
         rate_tag="n^-1/2",
     ),
     "a220884": LLTFamily(
         name="a220884",
-        build=lambda n: variant_triangle(n, "A220884"),
+        build=lambda n: row_pmf("a220884", n),
         mu_asym=lambda n: n / 2.0,
         sigma2_asym=lambda n: n / 6.0,
         rate_tag="n^-1/2",
     ),
     "a124323": LLTFamily(
         name="a124323",
-        build=lambda n: variant_triangle(n, "A124323"),
+        build=lambda n: row_pmf("a124323", n),
         mu_asym=lambda n: math.log(n),
         sigma2_asym=lambda n: math.log(n),
         rate_tag="(log n)^-1/2",

@@ -107,13 +107,14 @@ _register(SequenceSpec("A175757", 1, lambda: chain.from_iterable(
     r[1:] for r in islice(exact._arima_rows(), 1, None))))
 _register(SequenceSpec("matsunaga", 1, lambda: chain.from_iterable(exact._matsunaga_rows())))
 _register(SequenceSpec("b-table", 1, lambda: chain.from_iterable(exact._b_table_rows())))
-# The variant triangles stream their row formulas in distributions, which
-# start at the first OEIS index.
+# The variant triangles stream their row formulas from distributions' row
+# table; each formula holds from the first OEIS index on, which may lie
+# below the first n of its distribution.
 for _id, _first in [("A033306", 0), ("A056856", 1), ("A220883", 1), ("A260887", 1),
                     ("A220884", 1), ("A124323", 0), ("A086659", 1), ("A078937", 0),
                     ("A078938", 0), ("A078939", 0)]:
     _register(SequenceSpec(_id, _first, lambda which=_id, first=_first: chain.from_iterable(
-        map(distributions._VARIANT_ROWS[which], count(first)))))
+        map(distributions._ROWS[which.lower()][2], count(first)))))
 
 
 @dataclass(frozen=True)

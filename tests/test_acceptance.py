@@ -115,9 +115,9 @@ def test_criterion_06_identity_suite():
             assert Fraction(betas[n + 1], n + 1) >= Fraction(betas[n], n)
         s = exact.stirling_unsigned_rows(21)
         for n in range(2, 21):
-            t1 = dist.variant_triangle(n, "A220883")
+            t1 = dist.row_pmf("a220883", n)
             assert list(t1.weights) == [s.entry(n, k + 1) * (n + 1) ** k for k in range(n)]
-            t2 = dist.variant_triangle(n, "A260887")
+            t2 = dist.row_pmf("a260887", n)
             assert list(t2.weights) == [
                 n**k * sum((-1) ** (k - j) * s.entry(n + 1, j + 1) for j in range(k + 1))
                 for k in range(n)
@@ -127,15 +127,17 @@ def test_criterion_06_identity_suite():
 def test_criterion_07_two_route_moments():
     with criterion(7, "closed-form moments equal direct PMF moments (4 <= n <= 40)", 30.0):
         for n in range(4, 41):
-            assert dist.matsunaga_closed_moments(n) == dist.moments_exact(dist.matsunaga_pmf(n))
+            assert dist.matsunaga_closed_moments(n) == dist.moments_exact(
+                dist.row_pmf("matsunaga", n)
+            )
             assert dist.weighted_matsunaga_closed_mean(n) == dist.moments_exact(
-                dist.weighted_matsunaga_pmf(n)
+                dist.row_pmf("weighted-matsunaga", n)
             )[0]
             b = exact.bell_numbers(n + 1)
             mu, s2 = dist.arima_exact_moments(n)
             assert mu == Fraction(n * b[n], b[n + 1])
-            assert (mu, s2) == dist.moments_exact(dist.arima_pmf(n))
-            assert dist.a033306_exact_moments(n) == dist.moments_exact(dist.a033306_pmf(n))
+            assert (mu, s2) == dist.moments_exact(dist.row_pmf("arima", n))
+            assert dist.a033306_exact_moments(n) == dist.moments_exact(dist.row_pmf("a033306", n))
 
 
 def test_criterion_08_asymptotic_decay():

@@ -34,7 +34,7 @@ class TestPMFBasics:
             dist.pmf_from_weights(0, [1, -1])
 
     def test_probabilities_sum_to_one(self):
-        pmf = dist.matsunaga_pmf(9)
+        pmf = dist.row_pmf("matsunaga", 9)
         assert sum(Fraction(w, pmf.total) for w in pmf.weights) == 1
 
     def test_out_of_support(self):
@@ -47,7 +47,7 @@ class TestPMFBasics:
 class TestMatsunagaFamily:
     def test_two_route_moments(self):
         for n in range(4, 26):
-            pmf = dist.matsunaga_pmf(n)
+            pmf = dist.row_pmf("matsunaga", n)
             assert dist.matsunaga_closed_moments(n) == dist.moments_exact(pmf)
 
     def test_row5_mean_both_routes(self):
@@ -55,7 +55,7 @@ class TestMatsunagaFamily:
         assert mean == Fraction(1027, 420)
 
     def test_total_row4(self):
-        assert dist.matsunaga_pmf(4).total == 96
+        assert dist.row_pmf("matsunaga", 4).total == 96
 
     def test_closed_form_rejected_below_four(self):
         with pytest.raises(ValueError):
@@ -75,15 +75,15 @@ class TestMatsunagaFamily:
 
 class TestWeightedFamily:
     def test_total_is_pn_at_n(self):
-        assert dist.weighted_matsunaga_pmf(5).total == 135120
+        assert dist.row_pmf("weighted-matsunaga", 5).total == 135120
 
     def test_row6_weight(self):
-        pmf = dist.weighted_matsunaga_pmf(6)
+        pmf = dist.row_pmf("weighted-matsunaga", 6)
         assert pmf.weights[2] == 1623240  # |M[6,3]| 6^3
 
     def test_two_route_mean(self):
         for n in range(4, 26):
-            pmf = dist.weighted_matsunaga_pmf(n)
+            pmf = dist.row_pmf("weighted-matsunaga", n)
             assert dist.weighted_matsunaga_closed_mean(n) == dist.moments_exact(pmf)[0]
 
     def test_mean_expansion_residual(self):
@@ -94,35 +94,35 @@ class TestWeightedFamily:
     def test_variance_expansion_residual_decays(self):
         resid = []
         for n in (25, 50, 100):
-            _, var = dist.moments_exact(dist.weighted_matsunaga_pmf(n))
+            _, var = dist.moments_exact(dist.row_pmf("weighted-matsunaga", n))
             _, s2 = dist.weighted_matsunaga_asym_moments(n)
             resid.append(abs(float(var) - s2))
         assert resid[2] < resid[0]
 
     def test_rejects_small_n(self):
         with pytest.raises(ValueError):
-            dist.weighted_matsunaga_pmf(3)
+            dist.row_pmf("weighted-matsunaga", 3)
 
 
 class TestArimaFamily:
     def test_published_row(self):
-        pmf = dist.arima_pmf(5)
+        pmf = dist.row_pmf("arima", 5)
         assert pmf.weights == (52, 75, 50, 20, 5, 1)
         assert pmf.total == 203
 
     def test_total_row7(self):
-        assert dist.arima_pmf(7).total == 4140
+        assert dist.row_pmf("arima", 7).total == 4140
 
     def test_pmf_is_the_triangle_row(self, bells):
         rows = exact.arima_rows(120)
         for n in range(1, 121):
-            pmf = dist.arima_pmf(n)
+            pmf = dist.row_pmf("arima", n)
             assert pmf.weights == rows.row(n)
             assert pmf.total == bells[n + 1]
 
     def test_two_route_moments(self):
         for n in range(1, 26):
-            assert dist.arima_exact_moments(n) == dist.moments_exact(dist.arima_pmf(n))
+            assert dist.arima_exact_moments(n) == dist.moments_exact(dist.row_pmf("arima", n))
 
     def test_mean_row7(self):
         mean, _ = dist.arima_exact_moments(7)
@@ -130,25 +130,25 @@ class TestArimaFamily:
 
     def test_reversed_mean_mirrors(self):
         n = 9
-        m, v = dist.moments_exact(dist.arima_pmf(n))
-        mr, vr = dist.moments_exact(dist.arima_reversed_pmf(n))
+        m, v = dist.moments_exact(dist.row_pmf("arima", n))
+        mr, vr = dist.moments_exact(dist.row_pmf("arima-reversed", n))
         assert mr == n - m
         assert vr == v
 
 
 class TestBalancedFamily:
     def test_small_weights(self):
-        assert dist.a033306_pmf(2).weights == (2, 2, 2)
-        assert dist.a033306_pmf(2).total == 6
+        assert dist.row_pmf("a033306", 2).weights == (2, 2, 2)
+        assert dist.row_pmf("a033306", 2).total == 6
 
     def test_two_route_moments(self):
         for n in range(1, 26):
-            assert dist.a033306_exact_moments(n) == dist.moments_exact(dist.a033306_pmf(n))
+            assert dist.a033306_exact_moments(n) == dist.moments_exact(dist.row_pmf("a033306", n))
 
     @given(st.integers(min_value=1, max_value=50))
     @settings(max_examples=30, deadline=None)
     def test_mean_is_half_n(self, n):
-        mean, _ = dist.moments_exact(dist.a033306_pmf(n))
+        mean, _ = dist.moments_exact(dist.row_pmf("a033306", n))
         assert mean == Fraction(n, 2)
 
     def test_variance_expansion_residual(self):
@@ -187,7 +187,7 @@ class TestWeightedTailMass:
         mu = math.log(2)
         s2 = math.log(2) - 0.5
         for n in (30, 60, 120):
-            pmf = dist.weighted_matsunaga_pmf(n)
+            pmf = dist.row_pmf("weighted-matsunaga", n)
             half_width = 4 * math.sqrt(s2 * n)
             outside = sum(
                 (w for k, w in zip(pmf.support(), pmf.weights)
@@ -200,13 +200,13 @@ class TestWeightedTailMass:
 class TestVariantTriangles:
     def test_product_closed_identity_220883(self, stirling26):
         for n in range(2, 21):
-            t = dist.variant_triangle(n, "A220883")
+            t = dist.row_pmf("a220883", n)
             closed = [stirling26.entry(n, k + 1) * (n + 1) ** k for k in range(n)]
             assert list(t.weights) == closed
 
     def test_product_closed_identity_260887(self, stirling26):
         for n in range(2, 21):
-            t = dist.variant_triangle(n, "A260887")
+            t = dist.row_pmf("a260887", n)
             closed = [
                 n**k * sum((-1) ** (k - j) * stirling26.entry(n + 1, j + 1) for j in range(k + 1))
                 for k in range(n)
@@ -215,42 +215,82 @@ class TestVariantTriangles:
 
     def test_220883_row3_by_hand(self):
         # (1 + 4z)(2 + 4z) = 2 + 12z + 16z^2
-        assert dist.variant_triangle(3, "A220883").weights == (2, 12, 16)
+        assert dist.row_pmf("a220883", 3).weights == (2, 12, 16)
 
     def test_220884_row3_by_hand(self):
         # (2 + 2z)(3 + z) = 6 + 8z + 2z^2
-        assert dist.variant_triangle(3, "A220884").weights == (6, 8, 2)
+        assert dist.row_pmf("a220884", 3).weights == (6, 8, 2)
 
     def test_a056856_top_entry(self):
-        assert dist.variant_triangle(5, "A056856").weights[-1] == 625
+        assert dist.row_pmf("a056856", 5).weights[-1] == 625
 
     def test_a056856_is_the_unsigned_stirling_row(self, stirling26):
         for n in range(2, 27):
-            weights = dist.variant_triangle(n, "A056856").weights
+            weights = dist.row_pmf("a056856", n).weights
             assert weights == tuple(v * n ** k for k, v in enumerate(stirling26.row(n)))
 
     def test_a124323_first_column(self, betas):
-        assert dist.variant_triangle(6, "A124323").weights[0] == 41
+        assert dist.row_pmf("a124323", 6).weights[0] == 41
         for n in (4, 9, 15):
-            assert dist.variant_triangle(n, "A124323").weights[0] == betas[n]
+            assert dist.row_pmf("a124323", n).weights[0] == betas[n]
 
     def test_a086659_drops_unit_mass(self):
         for n in (4, 7, 11):
-            full = dist.variant_triangle(n, "A124323")
-            trimmed = dist.variant_triangle(n, "A086659")
+            full = dist.row_pmf("a124323", n)
+            trimmed = dist.row_pmf("a086659", n)
             assert full.weights[-1] == 1
             assert trimmed.weights == full.weights[:-1]
 
     def test_poisson_binomial_triangles(self):
-        for which, a in (("A078937", 2), ("A078938", 3), ("A078939", 4)):
+        for which, a in (("a078937", 2), ("a078938", 3), ("a078939", 4)):
             n = 8
             m = exact.poisson_moments(a, n)
-            t = dist.variant_triangle(n, which)
+            t = dist.row_pmf(which, n)
             assert list(t.weights) == [math.comb(n, k) * m[n - k] for k in range(n + 1)]
 
     def test_unknown_variant(self):
         with pytest.raises(ValueError):
-            dist.variant_triangle(10, "A000000")
+            dist.row_pmf("a000000", 10)
+
+
+# Rows n = first..first+2 of every family as (weights, total), typed from
+# the per-family builders that the row table replaced; a string is the
+# ValueError that row raises.  Row first - 1 is refused.
+FAMILY_ROWS = [
+    ("matsunaga", 1, 1, ["matsunaga[1]: all weights zero", ((1, 1), 2), ((1, 0, 1), 2)]),
+    ("weighted-matsunaga", 4, 1, [
+        ((112, 704, 1280, 1024), 3120),
+        ((620, 8250, 35625, 56250, 34375), 135120),
+        ((25056, 333144, 1623240, 3816720, 4269024, 1912896), 11980080)]),
+    ("arima", 1, 0, [((1, 1), 2), ((2, 2, 1), 5), ((5, 6, 3, 1), 15)]),
+    ("arima-reversed", 1, 0, [((1, 1), 2), ((1, 2, 2), 5), ((1, 3, 6, 5), 15)]),
+    ("a033306", 1, 0, [((1, 1), 2), ((2, 2, 2), 6), ((5, 6, 6, 5), 22)]),
+    ("a056856", 2, 1, [((1, 2), 3), ((2, 9, 9), 20), ((6, 44, 96, 64), 210)]),
+    ("a220883", 2, 0, [((1, 3), 4), ((2, 12, 16), 30), ((6, 55, 150, 125), 336)]),
+    ("a260887", 2, 0, [((2, 2), 4), ((6, 15, 9), 30), ((24, 104, 144, 64), 336)]),
+    ("a220884", 2, 0, [((2, 1), 3), ((6, 8, 2), 16), ((24, 58, 37, 6), 125)]),
+    ("a124323", 2, 0, [((1, 0, 1), 2), ((1, 3, 0, 1), 5), ((4, 4, 6, 0, 1), 15)]),
+]
+
+
+def test_family_rows_cover_every_family():
+    assert sorted(f for f, *_ in FAMILY_ROWS) == sorted(dist.FAMILIES)
+
+
+@pytest.mark.parametrize("family, first, k_min, rows", FAMILY_ROWS, ids=[r[0] for r in FAMILY_ROWS])
+def test_family_rows(family, first, k_min, rows):
+    build = dist.FAMILIES[family].build
+    with pytest.raises(ValueError) as refused:
+        build(first - 1)
+    assert str(refused.value) == f"n must be >= {first}"
+    for n, expected in enumerate(rows, first):
+        if isinstance(expected, str):
+            with pytest.raises(ValueError) as refused:
+                build(n)
+            assert str(refused.value) == expected
+        else:
+            pmf = build(n)
+            assert (pmf.k_min, pmf.weights, pmf.total) == (k_min, *expected), n
 
 
 def _family_pmfs(top=40):

@@ -179,14 +179,14 @@ class TestRowMajorReaders:
     @pytest.mark.parametrize("k", [2, 3, 9])
     def test_variant_reader_builds_only_the_rows_it_returns(self, monkeypatch, key, k):
         # rows n = 1..k of n entries each
-        real = distributions._VARIANT_ROWS[key.upper()]
+        first, k_min, real = distributions._ROWS[key]
         calls = []
 
         def counted(n):
             calls.append(n)
             return real(n)
 
-        monkeypatch.setitem(distributions._VARIANT_ROWS, key.upper(), counted)
+        monkeypatch.setitem(distributions._ROWS, key, (first, k_min, counted))
         values = list(islice(oeis.REGISTRY[key].terms(), sum(range(1, k + 1))))
         assert calls == list(range(1, k + 1))
         assert values == [v for n in range(1, k + 1) for v in real(n)]
@@ -207,7 +207,7 @@ class TestRowMajorReaders:
     def test_variant_low_rows(self, key, rows):
         spec = oeis.REGISTRY[key]
         assert spec.first_index == 4 - len(rows)
-        row = distributions._VARIANT_ROWS[key.upper()]
+        row = distributions._ROWS[key][2]
         assert [tuple(row(n)) for n in range(spec.first_index, 4)] == rows
         flat = [v for r in rows for v in r]
         assert list(islice(spec.terms(), len(flat))) == flat

@@ -10,10 +10,13 @@ unit tests fails here.
 
 Two structural guards hold each triangle to one row source: the Stirling
 step is taken only by the row source and the band, and ``oeis`` reads no
-built triangle.
+built triangle.  A third keeps every ``FAMILIES`` field a function of its
+own, because the benchmark's tracer names its wrapper after the field and
+its self-check matches call counts to cProfile's by code object.
 """
 
 import ast
+import types
 from pathlib import Path
 
 import pytest
@@ -116,5 +119,16 @@ def test_oeis_streams_the_row_sources():
     # the linear readers read exact's row sources and the row formulas of
     # distributions, never a built triangle or distribution
     builders = {"stirling_signed_rows", "matsunaga_rows", "b_table_rows", "arima_rows",
-                "variant_triangle", "a033306_pmf"}
+                "row_pmf"}
     assert not builders & _references(PACKAGE / "oeis.py")
+
+
+def test_family_fields_are_functions_of_their_own():
+    # a functools.partial has no __code__ or __name__, and lambdas made in
+    # one loop share a code object, so cProfile would count them as one
+    from bellnum.distributions import FAMILIES
+
+    fields = [getattr(fam, f) for fam in FAMILIES.values()
+              for f in ("build", "mu_asym", "sigma2_asym")]
+    assert all(isinstance(fn, types.FunctionType) for fn in fields)
+    assert len({fn.__code__ for fn in fields}) == len(fields) == 3 * len(FAMILIES)

@@ -68,8 +68,8 @@ def _change(fault: int | Callable) -> tuple[Callable, str]:
 
 def off(route: str, bad: tuple, fault: int | Callable) -> Fault:
     """``route`` (``module.name``, ``FAMILIES.<family>`` for its build, or
-    ``_VARIANT_ROWS.<id>`` for a variant row formula) off at the arguments
-    ``bad``."""
+    ``_ROWS.<key>`` for a row formula of distributions) off at the
+    arguments ``bad``."""
     owner, name = route.split(".")
     change, shown = _change(fault)
 
@@ -80,9 +80,9 @@ def off(route: str, bad: tuple, fault: int | Callable) -> Fault:
         if owner == "FAMILIES":
             fam = cli.FAMILIES[name]
             monkeypatch.setitem(cli.FAMILIES, name, dataclasses.replace(fam, build=at_bad(fam.build)))
-        elif owner == "_VARIANT_ROWS":
-            rows = distributions._VARIANT_ROWS
-            monkeypatch.setitem(rows, name, at_bad(rows[name]))
+        elif owner == "_ROWS":
+            first, k_min, row = distributions._ROWS[name]
+            monkeypatch.setitem(distributions._ROWS, name, (first, k_min, at_bad(row)))
         else:
             monkeypatch.setattr(MODULES[owner], name, at_bad(getattr(MODULES[owner], name)))
 
@@ -224,17 +224,17 @@ ROWS = [
     Row("product triangle = |s|", off("exact.stirling_unsigned_rows", (9,), bump_entry(6, 1, -1)), "variants 8", [
         "FAIL: product triangle = |s| * (n+1)^k closed form (n<=8) [first counterexample n=6]",
         "FAIL: product triangle = alternating |s| closed form (n<=8) [first counterexample n=5]"]),
-    Row("product triangle = alternating |s|", off("cli.variant_triangle", (5, "A260887"), add_mass(1)), "variants 8", [
+    Row("product triangle = alternating |s|", off("cli.row_pmf", ("a260887", 5), add_mass(1)), "variants 8", [
         "FAIL: product triangle = alternating |s| closed form (n<=8) [first counterexample n=5]"]),
     Row("arima row sums", off("exact.arima_rows", (8,), bump_entry(5, 2)), "variants 8", [
         "FAIL: arima row sums equal B_(n+1) (n<=8) [first counterexample n=5]"]),
     Row("balanced convolution totals", off("cli.tilde_bell_exact", (6,), bump(3)), "variants 6", [
         "FAIL: balanced convolution totals equal Poisson(2) moments (n<=6) [first counterexample n=3]"]),
-    Row("singleton-marker triangles", off("cli.variant_triangle", (5, "A124323"), add_mass(0)), "variants 8", [
+    Row("singleton-marker triangles", off("cli.row_pmf", ("a124323", 5), add_mass(0)), "variants 8", [
         "FAIL: singleton-marker triangles (k=0 column, unit-mass removal, n<=8) [first counterexample n=5]"]),
     # the A124323 row formula itself: A086659 must not read it, or the
     # unit-mass removal would hold by construction
-    Row("singleton-marker triangles", off("_VARIANT_ROWS.A124323", (5,), bump(1)), "variants 8", [
+    Row("singleton-marker triangles", off("_ROWS.a124323", (5,), bump(1)), "variants 8", [
         "FAIL: singleton-marker triangles (k=0 column, unit-mass removal, n<=8) [first counterexample n=5]"]),
     # mass added at k = n reaches the route that sums over the support only
     Row("two-route moments", off("FAMILIES.arima", (4,), add_mass(4)), "variants 6", [
