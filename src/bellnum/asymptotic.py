@@ -13,7 +13,7 @@ checkable by the caller; no series inversion is used for solving.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .exact import poisson_moments
 
@@ -43,8 +43,7 @@ _TOL = 1e-12  # relative residual at which lambert_w and the saddle solver stop
 _MAX_ITER = 64  # their iteration limit
 
 
-@dataclass(frozen=True)
-class ApproxValue:
+class ApproxValue(NamedTuple):
     """A floating approximation together with its claimed error order.
 
     ``log_value`` is the natural logarithm of the approximation, since
@@ -58,8 +57,7 @@ class ApproxValue:
     saddle: "SaddlePoint | None" = None
 
 
-@dataclass(frozen=True)
-class SaddlePoint:
+class SaddlePoint(NamedTuple):
     root: float
     residual: float  # relative: (f(root) - target) / target
     iterations: int

@@ -16,11 +16,10 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from math import factorial
-from typing import Any, Callable, Iterable, Iterator
+from typing import Any, Callable, Iterable, Iterator, NamedTuple
 
 from . import exact, partitions
 from .asymptotic import (
@@ -152,8 +151,7 @@ def cmd_table(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
 # ---------------------------------------------------------------- verify
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(NamedTuple):
     """One verify line: ``holds`` must be true at every point of ``domain``,
     walked lazily and in order.  FAIL shows ``witness`` and the first point
     where it is false; ok shows ``note``."""
@@ -433,6 +431,8 @@ def cmd_asym(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
     _check_cap(args, max(ladder), ASYM_CAP)
     rows: list[list[object]] = []
     if target in ("beta", "bell", "tilde-bell"):
+        if target == "beta" and min(ladder) < 4:
+            raise UsageError("beta needs n >= 4 (beta_2 = beta_3 = 1 leaves log beta_n = 0 below)")
         exact_fn = {"beta": exact.beta_numbers, "bell": exact.bell_numbers,
                     "tilde-bell": tilde_bell_exact}[target]
         exact_values = exact_fn(max(ladder))

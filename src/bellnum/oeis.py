@@ -12,9 +12,8 @@ OEIS indexing lines up with this package's row conventions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain, count, islice
-from typing import Callable, Iterator
+from typing import Callable, Iterator, NamedTuple
 
 from . import distributions, exact
 
@@ -32,8 +31,7 @@ __all__ = [
 MAX_TERMS = 600  # terms compared by default, from the first index on
 
 
-@dataclass(frozen=True)
-class BFileEntry:
+class BFileEntry(NamedTuple):
     index: int
     value: int
 
@@ -70,8 +68,7 @@ def parse_bfile(text: str) -> list[BFileEntry]:
     return entries
 
 
-@dataclass(frozen=True)
-class SequenceSpec:
+class SequenceSpec(NamedTuple):
     """One checkable sequence: a stream of its terms plus its OEIS offset."""
 
     oeis_id: str
@@ -117,8 +114,7 @@ for _id, _first in [("A033306", 0), ("A056856", 1), ("A220883", 1), ("A260887", 
         map(distributions._ROWS[which.lower()][2], count(first)))))
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     sequence: str
     compared: int
     first_mismatch: BFileEntry | None

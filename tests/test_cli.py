@@ -307,6 +307,16 @@ class TestAsym:
         assert captured.err.startswith("error: beta-ratio needs n >= 4")
         assert captured.err.count("\n") == 1
 
+    @pytest.mark.parametrize("ladder", ["2", "3", "2,10"])
+    def test_beta_below_four_is_usage_error(self, capsys, ladder):
+        # log beta_2 = log beta_3 = 0 would divide the relative log error by zero
+        code = main(["asym", "beta", ladder])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == ("error: beta needs n >= 4 "
+                                "(beta_2 = beta_3 = 1 leaves log beta_n = 0 below)\n")
+
     @pytest.mark.parametrize("n, ks", [(4, [2, 3]), (5, [2, 4]), (6, [2, 3, 5])])
     def test_stirling_prints_each_k_once(self, capsys, n, ks):
         code, out = run(capsys, "asym", "stirling", str(n), "--format", "csv")

@@ -254,10 +254,10 @@ class TestVariantTriangles:
 
 
 # Rows n = first..first+2 of every family as (weights, total), typed from
-# the per-family builders that the row table replaced; a string is the
-# ValueError that row raises.  Row first - 1 is refused.
+# the per-family builders that the row table replaced.  Row first - 1 is
+# refused; Matsunaga's row 1 is [0] (M[1,1] = beta_1 = 0), so it starts at 2.
 FAMILY_ROWS = [
-    ("matsunaga", 1, 1, ["matsunaga[1]: all weights zero", ((1, 1), 2), ((1, 0, 1), 2)]),
+    ("matsunaga", 2, 1, [((1, 1), 2), ((1, 0, 1), 2), ((28, 44, 20, 4), 96)]),
     ("weighted-matsunaga", 4, 1, [
         ((112, 704, 1280, 1024), 3120),
         ((620, 8250, 35625, 56250, 34375), 135120),
@@ -284,13 +284,8 @@ def test_family_rows(family, first, k_min, rows):
         build(first - 1)
     assert str(refused.value) == f"n must be >= {first}"
     for n, expected in enumerate(rows, first):
-        if isinstance(expected, str):
-            with pytest.raises(ValueError) as refused:
-                build(n)
-            assert str(refused.value) == expected
-        else:
-            pmf = build(n)
-            assert (pmf.k_min, pmf.weights, pmf.total) == (k_min, *expected), n
+        pmf = build(n)
+        assert (pmf.k_min, pmf.weights, pmf.total) == (k_min, *expected), n
 
 
 def _family_pmfs(top=40):

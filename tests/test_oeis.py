@@ -5,7 +5,6 @@ of this package's generators (the beta and Bell lists, the triangle
 rows), so a match genuinely ties the code to external data.
 """
 
-import dataclasses
 from itertools import islice
 
 import pytest
@@ -104,7 +103,7 @@ class TestChecking:
                 assert count <= 1, f"drew {count} terms"
                 yield value
 
-        monkeypatch.setitem(oeis.REGISTRY, "bell", dataclasses.replace(spec, terms=terms))
+        monkeypatch.setitem(oeis.REGISTRY, "bell", spec._replace(terms=terms))
         r = oeis.check_bfile("bell", text, max_terms=1)
         assert r.ok == bool(compared) and r.compared == compared
 

@@ -12,7 +12,9 @@ Two structural guards hold each triangle to one row source: the Stirling
 step is taken only by the row source and the band, and ``oeis`` reads no
 built triangle.  A third keeps every ``FAMILIES`` field a function of its
 own, because the benchmark's tracer names its wrapper after the field and
-its self-check matches call counts to cProfile's by code object.
+its self-check matches call counts to cProfile's by code object.  A
+fourth keeps as dataclasses only the records that the benchmark's digest
+or tracer inspects as dataclasses, since each one costs the cold start.
 """
 
 import ast
@@ -132,3 +134,28 @@ def test_family_fields_are_functions_of_their_own():
               for f in ("build", "mu_asym", "sigma2_asym")]
     assert all(isinstance(fn, types.FunctionType) for fn in fields)
     assert len({fn.__code__ for fn in fields}) == len(fields) == 3 * len(FAMILIES)
+
+
+def test_dataclasses_are_only_the_ones_the_benchmark_inspects():
+    """Creating a dataclass execs its generated methods, 0.3-0.55 ms of
+    every cold start each, so a record is a NamedTuple unless something
+    outside the package inspects it as a dataclass.  Five are:
+
+    - ``TriangleTable``, ``HornerTrace``, ``PartitionShape`` (exact) and
+      ``PartitionStats`` (partitions): the benchmark's digest hashes the
+      kernel's and the oracle's results through ``dataclasses.is_dataclass``
+      and ``dataclasses.fields``;
+    - ``LLTFamily`` (distributions): the benchmark's tracer rebinds each
+      family's fields with ``dataclasses.replace``.
+    """
+    kept = {"exact.TriangleTable", "exact.HornerTrace", "exact.PartitionShape",
+            "partitions.PartitionStats", "distributions.LLTFamily"}
+    found = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(_tree(path)):
+            if isinstance(node, ast.ClassDef) and any(
+                    "dataclass" in ast.unparse(d) for d in node.decorator_list):
+                found.add(f"{path.stem}.{node.name}")
+    assert found == kept, (
+        "a record that no digest or tracer inspects as a dataclass is a NamedTuple; "
+        "a new one the benchmark inspects joins this test's docstring")

@@ -58,7 +58,7 @@ def bump_entry(n: int, k: int, by: int = 1) -> Callable:
 
 def add_mass(k: int) -> Callable:
     """One unit of mass added at entry k of a ``DiscretePMF``."""
-    return lambda pmf: dataclasses.replace(pmf, weights=bump(k)(pmf.weights), total=pmf.total + 1)
+    return lambda pmf: pmf._replace(weights=bump(k)(pmf.weights), total=pmf.total + 1)
 
 
 def _change(fault: int | Callable) -> tuple[Callable, str]:
