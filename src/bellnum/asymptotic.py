@@ -2,8 +2,10 @@
 
 All the factorial-scale approximations return their natural logarithm
 (``ApproxValue.log_value``) because the quantities themselves overflow
-doubles quickly; comparisons against exact integers go through
-:func:`log_int`, which is exact to the last bits of the double.
+doubles quickly; comparisons against exact integers take ``math.log``
+of the integer, which is exact to the last bits of the double at any
+size.  The module imports nothing from the package: it is the float
+side only.
 
 Every saddle point is found numerically (Newton with a bisection
 safeguard) and returned with its residual, so the defining equation is
@@ -15,19 +17,15 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .exact import poisson_moments
-
 __all__ = [
     "EULER_GAMMA",
     "ApproxValue",
     "SaddlePoint",
-    "log_int",
     "lambert_w",
     "digamma",
     "trigamma",
     "beta_asym",
     "bell_asym",
-    "tilde_bell_exact",
     "tilde_bell_asym",
     "stirling_regime",
     "stirling_asym",
@@ -61,13 +59,6 @@ class SaddlePoint(NamedTuple):
     root: float
     residual: float  # relative: (f(root) - target) / target
     iterations: int
-
-
-def log_int(x: int) -> float:
-    """log of a positive integer of any size (exact to double precision)."""
-    if x <= 0:
-        raise ValueError("log_int needs a positive integer")
-    return math.log(x)
 
 
 def lambert_w(x: float) -> float:
@@ -162,12 +153,6 @@ def bell_asym(n: int) -> ApproxValue:
     return ApproxValue(log_value=log_main + math.log(corr), error_order="O(n^-2 (log n)^2)")
 
 
-def tilde_bell_exact(N: int) -> list[int]:
-    """Moments 0..N of a Poisson(2) variable (the doubled-EGF Bell
-    analogue entering the balanced convolution's variance formula)."""
-    return poisson_moments(2, N)
-
-
 def tilde_bell_asym(n: int) -> ApproxValue:
     """Saddle-point approximation of the Poisson(2) moment sequence
     at index n; log scale, with correction factor."""
@@ -223,13 +208,11 @@ def solve_mw2_saddle(n: int, k: int) -> SaddlePoint:
         raise ValueError("need 1 <= k <= n")
     if k == n:
         raise ValueError("k = n is degenerate for this saddle")
-    tau = k / n
-    x0 = n * rho_of_tau(tau) if 0.0 < tau < 1.0 else float(k)
     return _solve_increasing(
         lambda r: r * (digamma(n + r) - digamma(r)),
         lambda r: (digamma(n + r) - digamma(r)) + r * (trigamma(n + r) - trigamma(r)),
         float(k),
-        x0,
+        n * rho_of_tau(k / n),  # 0 < k/n < 1 by the guards above
         "stirling central saddle",
     )
 

@@ -26,13 +26,11 @@ from .asymptotic import (
     beta_asym,
     bell_asym,
     beta_ratio_asym,
-    log_int,
     phi,
     rho_of_tau,
     stirling_asym,
     tau_of_rho,
     tilde_bell_asym,
-    tilde_bell_exact,
 )
 from .distributions import (
     FAMILIES,
@@ -53,29 +51,34 @@ TABLE_CAP = 500
 VERIFY_CAP = 200
 ASYM_CAP = 2000
 LLT_CAP = 1000
-BENCH_ARIMA_CAP = 400
+BENCH_CAP = 400
 BENCH_MATSUNAGA_CAP = 120
 
-TABLE_SEQUENCES = (
-    "stirling",
-    "matsunaga",
-    "weighted-matsunaga",
-    "arima",
-    "bell",
-    "beta",
-    "pn-at-n",
-    "b-table",
-)
+# each value calls through ``exact.``, so a rebinding of the kernel's
+# functions reaches the table
+TABLES: dict[str, Callable[[int], list[int] | exact.TriangleTable]] = {
+    "stirling": lambda N: exact.stirling_signed_rows(N),
+    "matsunaga": lambda N: exact.matsunaga_rows(N),
+    "weighted-matsunaga": lambda N: exact.weighted_matsunaga_rows(N),
+    "arima": lambda N: exact.arima_rows(N),
+    "bell": lambda N: exact.bell_numbers(N),
+    "beta": lambda N: exact.beta_numbers(N),
+    "pn-at-n": lambda N: exact.pn_at_n(N)[0],
+    "b-table": lambda N: exact.b_table_rows(N),
+}
+TABLE_SEQUENCES = tuple(TABLES)
 
 ASYM_TARGETS = ("beta", "bell", "tilde-bell", "stirling", "beta-ratio", "phi")
+# the targets whose comparison needs every n of the ladder >= 4, and why
+_ASYM_SMALL_N = {
+    "beta": "beta needs n >= 4 (beta_2 = beta_3 = 1 leaves log beta_n = 0 below)",
+    "beta-ratio": "beta-ratio needs n >= 4 (beta_1 = 0 leaves a ratio zero or undefined below)",
+    "stirling": "stirling comparison needs n >= 4",
+}
 
 
 class UsageError(ValueError):
     pass
-
-
-def _rat(x: Fraction) -> str:
-    return f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(x.numerator)
 
 
 def _width(head: str, cells: list[object]) -> int:
@@ -131,17 +134,7 @@ def cmd_table(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
     _check_cap(args, N, TABLE_CAP)
     if seq == "pn-at-n" and N < 1:
         raise UsageError("pn-at-n needs N >= 1")
-    builders = {
-        "bell": exact.bell_numbers,
-        "beta": exact.beta_numbers,
-        "pn-at-n": lambda N: exact.pn_at_n(N)[0],
-        "stirling": exact.stirling_signed_rows,
-        "matsunaga": exact.matsunaga_rows,
-        "weighted-matsunaga": exact.weighted_matsunaga_rows,
-        "arima": exact.arima_rows,
-        "b-table": exact.b_table_rows,
-    }
-    table = builders[seq](N)
+    table = TABLES[seq](N)
     if isinstance(table, exact.TriangleTable):
         return 0, _render(args.format, ["n", "k", "value"], table, seq)
     rows = [[n, v] for n, v in enumerate(table)][seq == "pn-at-n":]  # P_n(n) starts at n = 1
@@ -297,7 +290,7 @@ def _variants(N: int) -> list[Check]:
     s = exact.stirling_unsigned_rows(N + 1)
     bells = exact.bell_numbers(N + 1)
     arima = exact.arima_rows(N)
-    tb = tilde_bell_exact(N)
+    tb = exact.poisson_moments(2, N)
     beta = exact.beta_numbers(N)
     cap = min(N, 40)
 
@@ -429,26 +422,26 @@ def cmd_asym(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
         raise UsageError(f"target {target!r} needs a ladder of n values")
     ladder = _parse_ladder(args.ladder)
     _check_cap(args, max(ladder), ASYM_CAP)
+    if target in _ASYM_SMALL_N and min(ladder) < 4:
+        raise UsageError(_ASYM_SMALL_N[target])
     rows: list[list[object]] = []
     if target in ("beta", "bell", "tilde-bell"):
-        if target == "beta" and min(ladder) < 4:
-            raise UsageError("beta needs n >= 4 (beta_2 = beta_3 = 1 leaves log beta_n = 0 below)")
-        exact_fn = {"beta": exact.beta_numbers, "bell": exact.bell_numbers,
-                    "tilde-bell": tilde_bell_exact}[target]
+        # built per call, so a rebinding of these names reaches it
+        exact_fn, approx_fn = {
+            "beta": (exact.beta_numbers, beta_asym),
+            "bell": (exact.bell_numbers, bell_asym),
+            "tilde-bell": (lambda N: exact.poisson_moments(2, N), tilde_bell_asym),
+        }[target]
         exact_values = exact_fn(max(ladder))
-        approx_fn = {"beta": beta_asym, "bell": bell_asym, "tilde-bell": tilde_bell_asym}[target]
         for n in ladder:
             a = approx_fn(n)
-            le = log_int(exact_values[n])
+            le = math.log(exact_values[n])
             rows.append([n, f"{le:.6f}", f"{a.log_value:.6f}",
                          f"{abs(a.log_value - le) / abs(le):.3e}", a.error_order])
         return 0, _render(args.format,
                           ["n", "log_exact", "log_approx", "rel_log_error", "order"],
                           rows, f"asym-{target}")
     if target == "beta-ratio":
-        if min(ladder) < 4:
-            raise UsageError(
-                "beta-ratio needs n >= 4 (beta_1 = 0 leaves a ratio zero or undefined below)")
         top = max(ladder)
         betas = exact.beta_numbers(top)
         for n in ladder:
@@ -461,13 +454,11 @@ def cmd_asym(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
                           ["n", "l", "exact_ratio", "approx_ratio", "rel_error", "order"],
                           rows, "asym-beta-ratio")
     # stirling: three regime-representative points per n
-    if min(ladder) < 4:
-        raise UsageError("stirling comparison needs n >= 4")
     points = _stirling_points(ladder)
     for n in ladder:
         for k, value in points[n].items():
             a = stirling_asym(n, k)
-            le = log_int(value)
+            le = math.log(value)
             rel = abs(math.exp(a.log_value - le) - 1)
             rows.append([n, k, a.regime, f"{le:.6f}", f"{a.log_value:.6f}",
                          f"{rel:.3e}", a.error_order])
@@ -500,8 +491,8 @@ def cmd_llt(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
         sups.append(rep.sup_deviation)
         rows.append([
             rep.n,
-            _rat(rep.mean_exact),
-            _rat(rep.var_exact),
+            str(rep.mean_exact),
+            str(rep.var_exact),
             f"{rep.mu_asym:.6f}",
             f"{rep.sigma2_asym:.6f}",
             f"{rep.sup_deviation:.6e}",
@@ -533,9 +524,7 @@ def cmd_bench(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
     N = args.N
     if N < 2:
         raise UsageError("bench needs N >= 2")
-    cap = args.max_n if args.max_n is not None else BENCH_ARIMA_CAP
-    if N > cap:
-        raise UsageError(f"N={N} beyond bench cap {cap} (raise with --max-n)")
+    _check_cap(args, N, BENCH_CAP)
     repeats = args.repeats
     if repeats < 1:
         raise UsageError("--repeats must be >= 1")

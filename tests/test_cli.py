@@ -199,6 +199,13 @@ class TestVerify:
     def test_unknown_suite(self, capsys):
         assert run(capsys, "verify", "nothing", "5")[0] == 2
 
+    def test_oracle_beyond_enumeration_is_usage_error(self, capsys):
+        code = main(["verify", "oracle", "13"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "error: oracle suite capped at N=12\n"
+
     @pytest.mark.parametrize("suite", ["identities", "oracle", "variants", "all"])
     @pytest.mark.parametrize("n", ["0", "-3"])
     def test_n_below_one_is_usage_error(self, capsys, suite, n):
@@ -361,13 +368,10 @@ class TestAsym:
 
     @pytest.mark.parametrize("target", ["beta", "bell", "tilde-bell"])
     def test_builds_only_the_requested_sequence(self, capsys, monkeypatch, target):
-        import bellnum.cli as cli
-
-        builders = {"beta": (exact, "beta_numbers"), "bell": (exact, "bell_numbers"),
-                    "tilde-bell": (cli, "tilde_bell_exact")}
-        for name, (module, attr) in builders.items():
+        builders = {"beta": "beta_numbers", "bell": "bell_numbers", "tilde-bell": "poisson_moments"}
+        for name, attr in builders.items():
             if name != target:
-                monkeypatch.setattr(module, attr, None)
+                monkeypatch.setattr(exact, attr, None)
         assert run(capsys, "asym", target, "5,10")[0] == 0
 
 
@@ -405,8 +409,8 @@ class TestLLT:
 
 
 class TestCaps:
-    """``--max-n`` bounds llt, asym and verify like table: one line on
-    stderr and exit 2 before any work starts."""
+    """``--max-n`` bounds llt, asym, verify and bench like table: one line
+    on stderr and exit 2 before any work starts."""
 
     @pytest.fixture
     def no_work(self, monkeypatch):
@@ -419,7 +423,8 @@ class TestCaps:
 
         for name, fam in cli.FAMILIES.items():
             monkeypatch.setitem(cli.FAMILIES, name, dataclasses.replace(fam, build=refuse))
-        for name in ("bell_numbers", "beta_numbers", "_stirling_rows"):
+        for name in ("bell_numbers", "beta_numbers", "_stirling_rows",
+                     "bench_matsunaga_procedure", "bench_arima_procedure"):
             monkeypatch.setattr(exact, name, refuse)
         monkeypatch.setattr(cli, "_stirling_points", refuse)
         for name in cli.SUITES:
@@ -433,6 +438,8 @@ class TestCaps:
         (["asym", "stirling", "40", "--max-n", "39"], 40, 39),
         (["verify", "identities", "201"], 201, 200),
         (["verify", "variants", "5", "--max-n", "4"], 5, 4),
+        (["bench", "401"], 401, 400),
+        (["bench", "20", "--max-n", "10"], 20, 10),
     ])
     def test_beyond_cap_is_usage_error(self, capsys, no_work, argv, n, cap):
         code = main(argv)
@@ -502,6 +509,25 @@ class TestBench:
     def test_cap(self, capsys):
         assert run(capsys, "bench", "401")[0] == 2
 
+    def test_matsunaga_stops_at_its_cap(self, capsys):
+        # past n = 120 only the arima procedure runs, and no ratio is formed
+        code, out = run(capsys, "bench", "130", "--format", "csv")
+        assert code == 0
+        rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+        assert [(r[0], r[1], r[4]) for r in rows if int(r[0]) > 120] == [
+            ("128", "arima", "nan"), ("130", "arima", "nan")]
+        assert all(r[4] != "nan" for r in rows if int(r[0]) <= 120)
+
+    def test_disagreement_exits_one(self, capsys, monkeypatch):
+        real = exact.bench_arima_procedure
+
+        def off_by_one(n):
+            result, bits = real(n)
+            return result + 1, bits
+
+        monkeypatch.setattr(exact, "bench_arima_procedure", off_by_one)
+        assert run(capsys, "bench", "4") == (1, "procedures disagree at n=2\n")
+
     def test_zero_repeats_is_usage_error(self, capsys):
         code = main(["bench", "2", "--repeats", "0"])
         captured = capsys.readouterr()
@@ -563,6 +589,12 @@ class TestOeisCheck:
         f.write_text("0 1\n")
         assert run(capsys, "oeis-check", "A999999", str(f))[0] == 2
 
+    def test_no_comparable_entry_exits_one(self, capsys, tmp_path):
+        f = tmp_path / "b.txt"
+        f.write_text("0 1\n1 1\n2 2\n")
+        assert run(capsys, "oeis-check", "bell", str(f), "--max-n", "0") == (
+            1, "no comparable entries for A000110\n")
+
 
 class TestGenjiko:
     def test_listing(self, capsys):
@@ -585,6 +617,19 @@ class TestUsage:
     def test_out_of_range_parameter_is_usage_error(self, capsys):
         assert main(["asym", "beta", "1"]) == 2
         assert main(["llt", "weighted-matsunaga", "3"]) == 2
+
+    def test_arithmetic_error_is_one_line_and_exit_one(self, capsys, monkeypatch):
+        import bellnum.cli as cli
+
+        def diverge(n):
+            raise ArithmeticError(f"no convergence at n={n}")
+
+        monkeypatch.setattr(cli, "bell_asym", diverge)
+        code = main(["asym", "bell", "5,10"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == "computation failed: no convergence at n=5\n"
 
 
 class TestMain:

@@ -15,6 +15,8 @@ own, because the benchmark's tracer names its wrapper after the field and
 its self-check matches call counts to cProfile's by code object.  A
 fourth keeps as dataclasses only the records that the benchmark's digest
 or tracer inspects as dataclasses, since each one costs the cold start.
+A fifth keeps ``asymptotic`` a float layer that imports nothing from the
+package.
 """
 
 import ast
@@ -159,3 +161,14 @@ def test_dataclasses_are_only_the_ones_the_benchmark_inspects():
     assert found == kept, (
         "a record that no digest or tracer inspects as a dataclass is a NamedTuple; "
         "a new one the benchmark inspects joins this test's docstring")
+
+
+def test_asymptotic_imports_nothing_from_the_package():
+    # the exact values an approximation is held to are fetched by its caller
+    sources = []
+    for node in ast.walk(_tree(PACKAGE / "asymptotic.py")):
+        if isinstance(node, ast.ImportFrom):
+            sources.append("." * node.level + (node.module or ""))
+        elif isinstance(node, ast.Import):
+            sources.extend(alias.name for alias in node.names)
+    assert not [s for s in sources if s.startswith((".", "bellnum"))], sources

@@ -228,7 +228,7 @@ ROWS = [
         "FAIL: product triangle = alternating |s| closed form (n<=8) [first counterexample n=5]"]),
     Row("arima row sums", off("exact.arima_rows", (8,), bump_entry(5, 2)), "variants 8", [
         "FAIL: arima row sums equal B_(n+1) (n<=8) [first counterexample n=5]"]),
-    Row("balanced convolution totals", off("cli.tilde_bell_exact", (6,), bump(3)), "variants 6", [
+    Row("balanced convolution totals", off("exact.poisson_moments", (2, 6), bump(3)), "variants 6", [
         "FAIL: balanced convolution totals equal Poisson(2) moments (n<=6) [first counterexample n=3]"]),
     Row("singleton-marker triangles", off("cli.row_pmf", ("a124323", 5), add_mass(0)), "variants 8", [
         "FAIL: singleton-marker triangles (k=0 column, unit-mass removal, n<=8) [first counterexample n=5]"]),
