@@ -384,14 +384,14 @@ def _stirling_points(ladder: list[int]) -> dict[int, dict[int, int]]:
     n of the ladder.
 
     k = 2 and k = n-1 have closed forms, ``(n-1)! H_(n-1)`` and ``C(n,2)``.
-    The middle points come from one banded pass over the Stirling rows
-    that holds one row at a time, cut to columns
+    The middle points come from one banded pass over the unsigned
+    Stirling rows that holds one row at a time, cut to columns
     ``max(1, n - ceil(N/2)) .. N//2`` for the largest n = N: every
     middle point ``n//2`` of the ladder lies inside that band.
     """
     N, wanted = max(ladder), set(ladder)
     band = exact._stirling_band(N, N - N // 2, N // 2)
-    mids = {n: abs(row[n // 2 - lo]) for n, (lo, row) in enumerate(band, start=1) if n in wanted}
+    mids = {n: row[n // 2 - lo] for n, (lo, row) in enumerate(band, start=1) if n in wanted}
     points = {}
     for n in ladder:
         f = factorial(n - 1)

@@ -18,10 +18,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate, islice, repeat
 from math import comb
+from operator import mul
 from typing import Callable, NamedTuple, Sequence
 
 from .exact import (
+    _stirling_rows,
     abs_matsunaga_row,
     bell_numbers,
     beta_numbers,
@@ -259,7 +262,8 @@ _ROWS: dict[str, tuple[int, int, Callable[[int], list[int]]]] = {
     "arima": (1, 0, lambda n: _binomial_row(n, bell_numbers(n))),
     "arima-reversed": (1, 0, lambda n: _binomial_row(n, bell_numbers(n))[::-1]),
     "a033306": (1, 0, _a033306_row),
-    "a056856": (2, 1, lambda n: [abs(v) * n**i for i, v in enumerate(stirling_signed_row(n))]),
+    "a056856": (2, 1, lambda n: list(map(mul, next(islice(_stirling_rows(1), n - 1, None)),
+                                         accumulate(repeat(n, n - 1), mul, initial=1)))),
     "a220883": (2, 0, lambda n: _poly_product([(j, n + 1) for j in range(1, n)])),
     "a260887": (2, 0, lambda n: _poly_product([(j, n) for j in range(2, n + 1)])),
     "a220884": (2, 0, lambda n: _poly_product([(j, n + 1 - j) for j in range(2, n + 1)])),

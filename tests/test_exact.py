@@ -95,6 +95,11 @@ class TestStirling:
         for n in (1, 2, 3, 17, 60):
             assert exact.stirling_signed_row(n) == tri.row(n)
 
+    def test_unsigned_rows_equal_abs_of_signed_rows(self):
+        # each sign runs its own recurrence, so each is held to the other
+        assert exact.stirling_unsigned_rows(300).rows == tuple(
+            tuple(map(abs, r)) for r in exact.stirling_signed_rows(300).rows)
+
 
 class TestStirlingMonotoneStep:
     def test_full_triangle(self, stirling26):

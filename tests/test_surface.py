@@ -10,13 +10,14 @@ unit tests fails here.
 
 Two structural guards hold each triangle to one row source: the Stirling
 step is taken only by the row source and the band, and ``oeis`` reads no
-built triangle.  A third keeps every ``FAMILIES`` field a function of its
-own, because the benchmark's tracer names its wrapper after the field and
-its self-check matches call counts to cProfile's by code object.  A
-fourth keeps as dataclasses only the records that the benchmark's digest
-or tracer inspects as dataclasses, since each one costs the cold start.
-A fifth keeps ``asymptotic`` a float layer that imports nothing from the
-package.
+built triangle.  A third keeps the ``|s|`` readers on the unsigned
+recurrence, with no ``abs`` pass over signed rows.  A fourth keeps every
+``FAMILIES`` field a function of its own, because the benchmark's tracer
+names its wrapper after the field and its self-check matches call counts
+to cProfile's by code object.  A fifth keeps as dataclasses only the
+records that the benchmark's digest or tracer inspects as dataclasses,
+since each one costs the cold start.  A sixth keeps ``asymptotic`` a
+float layer that imports nothing from the package.
 """
 
 import ast
@@ -117,6 +118,23 @@ def test_stirling_rows_are_built_in_one_place():
     # comes from the one row source
     assert _callers(_tree(PACKAGE / "exact.py"), "_stirling_next") == {
         "_stirling_rows", "_stirling_band"}
+
+
+def _reads(tree: ast.Module, name: str) -> set[str]:
+    """The bare names that the function ``name`` of a module reads, called
+    or passed on (``abs(x)``, ``map(abs, r)``)."""
+    func = next(node for node in ast.walk(tree)
+                if isinstance(node, ast.FunctionDef) and node.name == name)
+    return {node.id for node in ast.walk(func)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+
+
+@pytest.mark.parametrize("module, name", [("exact", "stirling_unsigned_rows"),
+                                          ("cli", "_stirling_points")])
+def test_unsigned_stirling_readers_take_no_abs(module, name):
+    # |s| rows come from their own recurrence; abs over signed rows costs
+    # the signed row it throws away and a second pass
+    assert "abs" not in _reads(_tree(PACKAGE / f"{module}.py"), name)
 
 
 def test_oeis_streams_the_row_sources():
