@@ -1,6 +1,8 @@
 """Command-line interface.
 
-Subcommands: table, verify, asym, llt, bench, oeis-check, genjiko.
+Subcommands: table, verify, asym, llt, bench, oeis-check, genjiko; a
+run builds the parser of its own command only, and only the commands
+that enumerate set partitions import the oracle, ``partitions``.
 Exit codes: 0 success, 1 verification failure, 2 usage error or an
 unwritable --out, 3 input or parse error.  Output is byte-for-byte
 deterministic (bench wall times excepted); text and CSV stream row by
@@ -19,9 +21,9 @@ import time
 from fractions import Fraction
 from itertools import accumulate
 from math import factorial
-from typing import Any, Callable, Iterable, Iterator, NamedTuple
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, NamedTuple
 
-from . import exact, partitions
+from . import exact
 from .asymptotic import (
     beta_asym,
     bell_asym,
@@ -44,6 +46,9 @@ from .distributions import (
     weighted_matsunaga_closed_mean,
 )
 from .oeis import BFileParseError, check_bfile, MAX_TERMS, REGISTRY
+
+if TYPE_CHECKING:
+    from . import partitions
 
 __all__ = ["main", "build_parser"]
 
@@ -254,6 +259,7 @@ def _identities(N: int) -> list[Check]:
 
 
 def _oracle(N: int) -> list[Check]:
+    from . import partitions
     if N > partitions.STATS_CAP:
         raise UsageError(f"oracle suite capped at N={partitions.STATS_CAP}")
     bells = exact.bell_numbers(N)
@@ -356,8 +362,10 @@ def cmd_verify(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
     for name, build in SUITES.items():
         if suite not in (name, "all"):
             continue
-        # `all` runs the oracle only as far as it enumerates
-        size = min(N, partitions.STATS_CAP) if (name, suite) == ("oracle", "all") else N
+        size = N
+        if (name, suite) == ("oracle", "all"):  # only as far as the oracle enumerates
+            from . import partitions
+            size = min(N, partitions.STATS_CAP)
         for check in build(size):
             status, detail = _run(check)
             n_fail += status == "FAIL"
@@ -586,6 +594,7 @@ def cmd_oeis_check(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
 
 
 def cmd_genjiko(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
+    from . import partitions
     pats = partitions.genjiko_patterns()
     lines = [f"{len(pats)} patterns"]
     for i, blocks in enumerate(pats, start=1):
@@ -597,57 +606,49 @@ def cmd_genjiko(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
 # ------------------------------------------------------------------ main
 
 
-def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=("text", "csv", "json"), default="text")
-    common.add_argument("--out", metavar="PATH", default=None)
-    common.add_argument("--max-n", type=int, default=None, metavar="CAP",
-                        help="raise or lower the command's size cap")
+# every command's own arguments follow these three
+_COMMON: tuple[tuple[str, dict[str, Any]], ...] = (
+    ("--format", {"choices": ("text", "csv", "json"), "default": "text"}),
+    ("--out", {"metavar": "PATH"}),
+    ("--max-n", {"type": int, "metavar": "CAP", "help": "raise or lower the command's size cap"}),
+)
+# each command once: its help line and its own arguments as (name,
+# keywords) pairs.  The handler is cmd_<name>, looked up in the module
+# when the parser is built, so a rebinding of it is what runs.
+_COMMANDS: dict[str, tuple[str, tuple[tuple[str, dict[str, Any]], ...]]] = {
+    "table": ("emit a sequence or triangle", (("sequence", {}), ("N", {"type": int}))),
+    "verify": ("run exact identity suites", (("suite", {}), ("N", {"type": int}))),
+    "asym": ("compare approximations against exact values", (
+        ("target", {}),
+        ("ladder", {"nargs": "?", "help": "comma-separated n values (not needed for phi)"}))),
+    "llt": ("local-limit-theorem reports", (
+        ("family", {}),
+        ("ladder", {"help": "comma-separated n values"}),
+        ("--centering", {"choices": ("exact", "asym"), "default": "exact"}),
+        ("--hist", {"action": "store_true",
+                    "help": "dump (k, probability) pairs instead of reports"}))),
+    "bench": ("compare the two procedures (time and bit growth)", (
+        ("N", {"type": int}), ("--repeats", {"type": int, "default": 1}))),
+    "oeis-check": ("cross-check a sequence against a local b-file", (
+        ("sequence", {}), ("bfile", {}))),
+    "genjiko": ("list the 52 five-incense patterns", ()),
+}
 
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every command, or of ``command`` alone."""
     p = argparse.ArgumentParser(prog="bellnum",
                                 description="Exact and asymptotic Bell-number toolkit")
-    sub = p.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("table", parents=[common], help="emit a sequence or triangle")
-    sp.add_argument("sequence")
-    sp.add_argument("N", type=int)
-    sp.set_defaults(func=cmd_table)
-
-    sp = sub.add_parser("verify", parents=[common], help="run exact identity suites")
-    sp.add_argument("suite")
-    sp.add_argument("N", type=int)
-    sp.set_defaults(func=cmd_verify)
-
-    sp = sub.add_parser("asym", parents=[common],
-                        help="compare approximations against exact values")
-    sp.add_argument("target")
-    sp.add_argument("ladder", nargs="?", default=None,
-                    help="comma-separated n values (not needed for phi)")
-    sp.set_defaults(func=cmd_asym)
-
-    sp = sub.add_parser("llt", parents=[common], help="local-limit-theorem reports")
-    sp.add_argument("family")
-    sp.add_argument("ladder", help="comma-separated n values")
-    sp.add_argument("--centering", choices=("exact", "asym"), default="exact")
-    sp.add_argument("--hist", action="store_true",
-                    help="dump (k, probability) pairs instead of reports")
-    sp.set_defaults(func=cmd_llt)
-
-    sp = sub.add_parser("bench", parents=[common],
-                        help="compare the two procedures (time and bit growth)")
-    sp.add_argument("N", type=int)
-    sp.add_argument("--repeats", type=int, default=1)
-    sp.set_defaults(func=cmd_bench)
-
-    sp = sub.add_parser("oeis-check", parents=[common],
-                        help="cross-check a sequence against a local b-file")
-    sp.add_argument("sequence")
-    sp.add_argument("bfile")
-    sp.set_defaults(func=cmd_oeis_check)
-
-    sp = sub.add_parser("genjiko", parents=[common],
-                        help="list the 52 five-incense patterns")
-    sp.set_defaults(func=cmd_genjiko)
+    # a lone command keeps every name in the usage line by a fixed metavar;
+    # the full parser keeps argparse's own, whose errors name "command"
+    metavar = None if command is None else "{" + ",".join(_COMMANDS) + "}"
+    sub = p.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in _COMMANDS if command is None else (command,):
+        help_text, arguments = _COMMANDS[name]
+        sp = sub.add_parser(name, help=help_text)
+        for flag, keywords in (*_COMMON, *arguments):
+            sp.add_argument(flag, **keywords)
+        sp.set_defaults(func=globals()["cmd_" + name.replace("-", "_")])
     return p
 
 
@@ -666,7 +667,9 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def _main(argv: list[str] | None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    # no command, -h or a typo gets the full parser and its message
+    parser = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as e:

@@ -118,8 +118,13 @@ def moments_exact(pmf: DiscretePMF) -> tuple[Fraction, Fraction]:
 
 
 def _binomial_row(n: int, terms: Sequence[int]) -> list[int]:
-    """``C(n,k) terms[n-k]`` for k = 0..n."""
-    return [comb(n, k) * terms[n - k] for k in range(n + 1)]
+    """``C(n,k) terms[n-k]`` for k = 0..n, C(n,k) by a running product."""
+    row = []
+    c = 1
+    for k in range(n + 1):
+        row.append(c * terms[n - k])
+        c = c * (n - k) // (k + 1)
+    return row
 
 
 # --------------------------------------------------------- family moments

@@ -50,10 +50,9 @@ def parse_bfile(text: str) -> list[BFileEntry]:
     entries: list[BFileEntry] = []
     last_index = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        parts = raw.split()
+        if not parts or parts[0][0] == "#":
             continue
-        parts = line.split()
         if len(parts) != 2:
             raise BFileParseError(f"expected 'index value', got {raw!r}", lineno)
         try:
@@ -64,7 +63,7 @@ def parse_bfile(text: str) -> list[BFileEntry]:
         if last_index is not None and idx <= last_index:
             raise BFileParseError(f"index {idx} not increasing", lineno)
         last_index = idx
-        entries.append(BFileEntry(index=idx, value=val))
+        entries.append(BFileEntry(idx, val))
     return entries
 
 

@@ -634,6 +634,55 @@ class TestUsage:
         assert captured.err == "computation failed: no convergence at n=5\n"
 
 
+# a valid argv after each command name, cheap and never reaching bench's timer
+PARSER_ARGS = {"table": ["bell", "3"], "verify": ["identities", "2"], "asym": ["bell", "10"],
+               "llt": ["arima", "3"], "bench": ["2"], "oeis-check": ["bell", "b.txt"],
+               "genjiko": []}
+
+
+def _parity_argvs():
+    for command, args in PARSER_ARGS.items():
+        yield [command, "-h"]
+        yield [command, *args[:-1]]  # a missing positional (genjiko runs)
+        yield [command, *args, "--format", "xml"]
+        yield [command, *args, "--bogus"]
+        yield [command, *args, "extra"]
+        yield [command, *args, "--max-n", "five"]
+        if command in ("table", "verify", "bench"):
+            yield [command, *args[:-1], "five"]
+    yield from ([], ["--help"], ["-h"], ["nope"], ["--format", "csv", "table"])
+
+
+class TestParser:
+    """``main`` builds only the named command's subparser; each message,
+    help text and exit code is the one the full parser gives."""
+
+    @staticmethod
+    def _outcome(capsys, argv):
+        code = main(list(argv))
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    @pytest.mark.parametrize("argv", list(_parity_argvs()), ids=" ".join)
+    def test_one_subparser_answers_as_the_full_parser(self, capsys, monkeypatch, argv):
+        import bellnum.cli as cli
+
+        monkeypatch.setenv("COLUMNS", "80")
+        got = self._outcome(capsys, argv)
+        full = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda command=None: full())
+        assert got == self._outcome(capsys, argv)
+
+    def test_usage_names_every_command(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        usage = "usage: bellnum [-h] {table,verify,asym,llt,bench,oeis-check,genjiko} ...\n"
+        assert self._outcome(capsys, ["genjiko", "extra"]) == (
+            2, "", usage + "bellnum: error: unrecognized arguments: extra\n")
+        code, _, err = self._outcome(capsys, ["nope"])
+        assert code == 2
+        assert err.startswith(usage + "bellnum: error: argument command: invalid choice: 'nope'")
+
+
 class TestMain:
     @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
                         reason="no int-to-str digit limit")

@@ -252,6 +252,15 @@ class TestVariantTriangles:
         with pytest.raises(ValueError):
             dist.row_pmf("a000000", 10)
 
+    @pytest.mark.parametrize("terms", [exact.bell_numbers, exact.beta_numbers,
+                                       lambda N: exact.poisson_moments(2, N)],
+                             ids=["bell", "beta", "poisson2"])
+    def test_binomial_row_equals_comb_per_entry(self, terms):
+        # the running product against one math.comb per entry
+        t = terms(700)
+        for n in range(701):
+            assert dist._binomial_row(n, t) == [math.comb(n, k) * t[n - k] for k in range(n + 1)]
+
 
 # Rows n = first..first+2 of every family as (weights, total), typed from
 # the per-family builders that the row table replaced.  Row first - 1 is

@@ -53,6 +53,32 @@ class TestParsing:
     def test_negative_values_allowed(self):
         assert oeis.parse_bfile("1 -6")[0].value == -6
 
+    @pytest.mark.parametrize("text, entries", [
+        ("  # note\n0 1\n", [(0, 1)]),
+        ("0\t1\n1 \t 1\n", [(0, 1), (1, 1)]),
+        ("0 1\n \t \n1 1\n", [(0, 1), (1, 1)]),
+        ("#\n0 1\n", [(0, 1)]),
+        ("#0 1\n0 2\n", [(0, 2)]),
+        ("0 1\r\n1 1\r\n# x\r\n\r\n2 2\r\n", [(0, 1), (1, 1), (2, 2)]),
+    ])
+    def test_whitespace_and_comment_edges(self, text, entries):
+        parsed = oeis.parse_bfile(text)
+        assert type(parsed) is list
+        assert all(type(e) is oeis.BFileEntry for e in parsed)
+        assert [tuple(e) for e in parsed] == entries
+
+    @pytest.mark.parametrize("text, message", [
+        ("0 1\n1 #2\n", "line 2: non-integer field in '1 #2'"),
+        ("0 1\r\n1\r\n", "line 2: expected 'index value', got '1'"),
+        ("0 1\n\t1 2 3 \n", "line 2: expected 'index value', got '\\t1 2 3 '"),
+        ("# a\n\n5 1\n  5 2\n", "line 4: index 5 not increasing"),
+    ])
+    def test_edge_errors_keep_message_and_line(self, text, message):
+        with pytest.raises(oeis.BFileParseError) as exc:
+            oeis.parse_bfile(text)
+        assert str(exc.value) == message
+        assert exc.value.line_number == int(message.split()[1].rstrip(":"))
+
 
 class TestChecking:
     def test_bell_matches_published(self):

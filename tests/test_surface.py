@@ -11,7 +11,8 @@ unit tests fails here.
 Two structural guards hold each triangle to one row source: the Stirling
 step is taken only by the row source and the band, and ``oeis`` reads no
 built triangle.  A third keeps the ``|s|`` readers on the unsigned
-recurrence, with no ``abs`` pass over signed rows.  A fourth keeps every
+recurrence, with no ``abs`` pass over signed rows.  A seventh keeps the
+oracle out of the commands that do not enumerate set partitions.  A fourth keeps every
 ``FAMILIES`` field a function of its own, because the benchmark's tracer
 names its wrapper after the field and its self-check matches call counts
 to cProfile's by code object.  A fifth keeps as dataclasses only the
@@ -21,6 +22,8 @@ float layer that imports nothing from the package.
 """
 
 import ast
+import subprocess
+import sys
 import types
 from pathlib import Path
 
@@ -190,3 +193,13 @@ def test_asymptotic_imports_nothing_from_the_package():
         elif isinstance(node, ast.Import):
             sources.extend(alias.name for alias in node.names)
     assert not [s for s in sources if s.startswith((".", "bellnum"))], sources
+
+
+@pytest.mark.parametrize("argv, loaded", [(["table", "bell", "5"], False),
+                                          (["genjiko"], True), (["verify", "oracle", "3"], True)])
+def test_oracle_is_imported_only_by_its_commands(argv, loaded):
+    code = ("import sys; sys.path.insert(0, %r); from bellnum.cli import main; "
+            "main(sys.argv[1:]); print('bellnum.partitions' in sys.modules)" % str(PACKAGE.parent))
+    out = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True,
+                         check=True).stdout
+    assert out.splitlines()[-1] == str(loaded)
