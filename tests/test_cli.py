@@ -144,6 +144,30 @@ class TestStreaming:
         assert sink.marker_rendered_at_first_write is False and _Marker.rendered
 
     @pytest.mark.parametrize("fmt", ["text", "csv"])
+    @pytest.mark.parametrize("seq, N", [("matsunaga", 190), ("stirling", 220)])
+    def test_render_adds_little_to_the_build(self, monkeypatch, seq, N, fmt):
+        # the largest cold commands: their peak memory is the table's plus
+        # about one row of text; every cell's str held at once would add
+        # megabytes (6.4 MB for matsunaga 190)
+        import tracemalloc
+
+        import bellnum.cli as cli
+
+        def traced_peak(run):
+            exact._reset()
+            tracemalloc.start()
+            try:
+                run()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        build = traced_peak(lambda: cli.TABLES[seq](N))
+        monkeypatch.setattr(sys, "stdout", _Discard())
+        whole = traced_peak(lambda: main(["table", seq, str(N), "--format", fmt]))
+        assert whole - build < 1_000_000
+
+    @pytest.mark.parametrize("fmt", ["text", "csv"])
     def test_closed_pipe_exits_quietly(self, fmt):
         src = str(Path(exact.__file__).parents[1])
         code = ("import sys; sys.path.insert(0, %r); from bellnum.cli import main; "
@@ -410,6 +434,34 @@ class TestLLT:
         assert first == second
 
 
+# (argv, N, cap): refused before any work; the golden matrix runs these too
+BEYOND_CAP = [
+    (["llt", "matsunaga", "5000"], 5000, 1000),
+    (["llt", "arima", "10,30", "--max-n", "20"], 30, 20),
+    (["llt", "arima", "30", "--hist", "--max-n", "29"], 30, 29),
+    (["asym", "bell", "10,2001"], 2001, 2000),
+    (["asym", "stirling", "40", "--max-n", "39"], 40, 39),
+    (["verify", "identities", "201"], 201, 200),
+    (["verify", "variants", "5", "--max-n", "4"], 5, 4),
+    (["bench", "401"], 401, 400),
+    (["bench", "20", "--max-n", "10"], 20, 10),
+]
+# one argv of each command that takes --max-n
+CAPPED = [
+    ["table", "bell", "5"],
+    ["verify", "identities", "5"],
+    ["asym", "phi"],
+    ["llt", "arima", "10"],
+    ["bench", "4"],
+    ["genjiko"],
+]
+AT_CAP = [
+    ["llt", "arima", "10,30", "--max-n", "30"],
+    ["asym", "stirling", "40", "--max-n", "40"],
+    ["verify", "identities", "5", "--max-n", "5"],
+]
+
+
 class TestCaps:
     """``--max-n`` bounds llt, asym, verify and bench like table: one line
     on stderr and exit 2 before any work starts."""
@@ -432,17 +484,7 @@ class TestCaps:
         for name in cli.SUITES:
             monkeypatch.setitem(cli.SUITES, name, refuse)
 
-    @pytest.mark.parametrize("argv, n, cap", [
-        (["llt", "matsunaga", "5000"], 5000, 1000),
-        (["llt", "arima", "10,30", "--max-n", "20"], 30, 20),
-        (["llt", "arima", "30", "--hist", "--max-n", "29"], 30, 29),
-        (["asym", "bell", "10,2001"], 2001, 2000),
-        (["asym", "stirling", "40", "--max-n", "39"], 40, 39),
-        (["verify", "identities", "201"], 201, 200),
-        (["verify", "variants", "5", "--max-n", "4"], 5, 4),
-        (["bench", "401"], 401, 400),
-        (["bench", "20", "--max-n", "10"], 20, 10),
-    ])
+    @pytest.mark.parametrize("argv, n, cap", BEYOND_CAP)
     def test_beyond_cap_is_usage_error(self, capsys, no_work, argv, n, cap):
         code = main(argv)
         captured = capsys.readouterr()
@@ -460,14 +502,7 @@ class TestCaps:
 
         assert cli.LLT_CAP >= 600 and cli.ASYM_CAP >= 900 and cli.VERIFY_CAP >= 100
 
-    @pytest.mark.parametrize("argv", [
-        ["table", "bell", "5"],
-        ["verify", "identities", "5"],
-        ["asym", "phi"],
-        ["llt", "arima", "10"],
-        ["bench", "4"],
-        ["genjiko"],
-    ])
+    @pytest.mark.parametrize("argv", CAPPED)
     def test_negative_cap_is_usage_error(self, capsys, no_work, argv):
         code = main([*argv, "--max-n", "-1"])
         captured = capsys.readouterr()
@@ -484,11 +519,7 @@ class TestCaps:
         assert run(capsys, "oeis-check", "bell", str(f))[0] == 1
         assert run(capsys, "oeis-check", "bell", str(f), "--max-n", "-1") == (2, "")
 
-    @pytest.mark.parametrize("argv", [
-        ["llt", "arima", "10,30", "--max-n", "30"],
-        ["asym", "stirling", "40", "--max-n", "40"],
-        ["verify", "identities", "5", "--max-n", "5"],
-    ])
+    @pytest.mark.parametrize("argv", AT_CAP)
     def test_at_cap_runs(self, capsys, argv):
         assert run(capsys, *argv)[0] == 0
 

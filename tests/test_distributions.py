@@ -418,6 +418,13 @@ class TestUniformity:
         devs = [dist.bnk_ratio_uniformity(n) for n in range(10, 101, 5)]
         assert all(a > b for a, b in zip(devs, devs[1:]))
 
+    @pytest.mark.parametrize("n, value", [(10, 0.17409062899131741), (20, 0.10877971814498742),
+                                          (50, 0.05635983414628762), (100, 0.03345344943021069)])
+    def test_pinned_values(self, n, value):
+        # exact rationals to one float at the end: any route to the same
+        # rows gives these bits
+        assert dist.bnk_ratio_uniformity(n) == value
+
     def test_domain(self):
         with pytest.raises(ValueError):
             dist.bnk_ratio_uniformity(3)

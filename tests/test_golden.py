@@ -1,10 +1,14 @@
-"""Golden output matrix: the exit code and the sha256 of stdout for a
-fixed argv matrix (every subcommand x format, small N).
+"""Golden output matrix: the exit code, the sha256 of stdout and stderr
+verbatim (``err``) for a fixed argv matrix: every subcommand x format at
+small N, every LLT family at n = 0..5, and the usage errors, cap
+refusals and b-file faults.
 
 A refactor that changes a single byte of output fails here.  The one
 documented non-deterministic field, ``bench``'s ``wall_time_s`` column,
-is masked before hashing.  To record the digests of the code on the
-path, run ``python tests/test_golden.py --record``.
+is masked before hashing; in stderr the b-file directory is masked, and
+``COLUMNS`` is pinned because argparse wraps usage and help to it.  To
+record the digests of the code on the path, run
+``python tests/test_golden.py --record``.
 """
 
 from __future__ import annotations
@@ -17,10 +21,12 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
 from bellnum.cli import main
+from test_cli import AT_CAP, BEYOND_CAP, CAPPED, _parity_argvs
 
 GOLDEN = Path(__file__).with_name("golden.json")
 FORMATS = ("text", "csv", "json")
@@ -40,7 +46,12 @@ BFILES = {
     "stirling": "".join(
         f"{i} {v}\n" for i, v in enumerate([1, -1, 1, 2, -3, 1, -6, 11, -6, 1], start=1)),
     "garbage": "0 1\n1 x\n",
+    "fields": "0 1\n1 1 1\n",
+    "order": "# A000110\n0 1\n\n2 2\n1 1\n",
+    "latin1": b"0 1\n1 1\n2 \xff\n",
 }
+LLT_FAMILIES = ("matsunaga", "weighted-matsunaga", "arima", "arima-reversed", "a033306",
+                "a056856", "a220883", "a260887", "a220884", "a124323")
 
 
 def _matrix() -> list[list[str]]:
@@ -72,8 +83,7 @@ def _matrix() -> list[list[str]]:
     fmts("asym", "phi")
     m += [["asym", "beta-ratio", "1"], ["asym", "beta-ratio", "2"], ["asym", "beta-ratio", "3"],
           ["asym", "beta", "1"], ["asym", "stirling", "3"]]
-    for family in ("matsunaga", "weighted-matsunaga", "arima", "arima-reversed", "a033306",
-                   "a056856", "a220883", "a260887", "a220884", "a124323"):
+    for family in LLT_FAMILIES:
         fmts("llt", family, "8,16,32")
         m.append(["llt", family, "8,16,32", "--centering", "asym"])
     fmts("llt", "arima", "6", "--hist")
@@ -82,6 +92,19 @@ def _matrix() -> list[list[str]]:
     for seq, name in (("bell", "bell"), ("beta", "beta-bad"), ("matsunaga", "matsunaga"),
                       ("stirling", "stirling"), ("bell", "garbage")):
         m.append(["oeis-check", seq, f"{{bfile:{name}}}"])
+    # the smallest rows of every family, and the refusals below each domain
+    for family in LLT_FAMILIES:
+        for n in range(6):
+            for extra in ((), ("--hist",), ("--centering", "asym")):
+                m.append(["llt", family, str(n), *extra])
+    m += _parity_argvs()
+    m += [argv for argv, _, _ in BEYOND_CAP] + AT_CAP
+    m += [[*argv, "--max-n", "-1"] for argv in CAPPED]
+    # b-files that cannot be read or parsed ("missing" is never written)
+    for name in ("fields", "order", "latin1", "missing"):
+        m.append(["oeis-check", "bell", f"{{bfile:{name}}}"])
+    m += [["oeis-check", "A999999", "{bfile:bell}"],
+          ["oeis-check", "bell", "{bfile:bell}", "--max-n", "-1"]]
     return m
 
 
@@ -106,16 +129,22 @@ def _mask_bench(argv: list[str], out: str) -> str:
 
 def run_argv(argv: list[str], bfile_dir: Path) -> dict:
     for name, text in BFILES.items():
-        (bfile_dir / f"b-{name}.txt").write_text(text, encoding="utf-8")
+        path = bfile_dir / f"b-{name}.txt"
+        if isinstance(text, bytes):
+            path.write_bytes(text)
+        else:
+            path.write_text(text, encoding="utf-8")
     real = [str(bfile_dir / f"b-{a[len('{bfile:'):-1]}.txt") if a.startswith("{bfile:") else a
             for a in argv]
-    buf = io.StringIO()
-    with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(io.StringIO()):
+    buf, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(err), \
+            mock.patch.dict(os.environ, {"COLUMNS": "80"}):
         code = main(real)
     out = buf.getvalue()
-    if argv[0] == "bench" and code == 0:
+    if argv[:1] == ["bench"] and code == 0 and "-h" not in argv:
         out = _mask_bench(argv, out)
-    return {"code": code, "sha256": hashlib.sha256(out.encode("utf-8")).hexdigest()}
+    return {"code": code, "err": err.getvalue().replace(str(bfile_dir), "{bfiles}"),
+            "sha256": hashlib.sha256(out.encode("utf-8")).hexdigest()}
 
 
 @pytest.fixture(scope="module")
@@ -124,7 +153,9 @@ def golden() -> dict:
 
 
 def test_matrix_is_recorded(golden):
-    assert sorted(golden) == sorted(" ".join(a) for a in MATRIX)
+    keys = [" ".join(a) for a in MATRIX]
+    assert len(set(keys)) == len(keys)
+    assert sorted(golden) == sorted(keys)
 
 
 @pytest.mark.parametrize("argv", MATRIX, ids=" ".join)
@@ -154,7 +185,7 @@ def test_golden_under_another_hash_seed(golden, seed):
     child = subprocess.run([sys.executable, "-c", HASH_SEED_CHILD, json.dumps(HASH_SEED_ARGV)],
                            env=env, capture_output=True, text=True, check=True)
     assert [json.loads(line) for line in child.stdout.splitlines()] == [
-        golden[" ".join(argv)] for argv in HASH_SEED_ARGV]
+        {k: golden[" ".join(argv)][k] for k in ("code", "sha256")} for argv in HASH_SEED_ARGV]
 
 
 if __name__ == "__main__" and sys.argv[1:] == ["--record"]:

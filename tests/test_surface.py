@@ -18,10 +18,13 @@ names its wrapper after the field and its self-check matches call counts
 to cProfile's by code object.  A fifth keeps as dataclasses only the
 records that the benchmark's digest or tracer inspects as dataclasses,
 since each one costs the cold start.  A sixth keeps ``asymptotic`` a
-float layer that imports nothing from the package.
+float layer that imports nothing from the package.  The last runs the
+benchmark tracer's own self-check, which holds the rules the fourth
+guard and ``cli.build_parser`` keep for it.
 """
 
 import ast
+import os
 import subprocess
 import sys
 import types
@@ -195,7 +198,27 @@ def test_asymptotic_imports_nothing_from_the_package():
     assert not [s for s in sources if s.startswith((".", "bellnum"))], sources
 
 
-@pytest.mark.parametrize("argv, loaded", [(["table", "bell", "5"], False),
+def test_benchmark_tracer_selfcheck_finds_no_mismatch(tmp_path):
+    """The benchmark's tracer rebinds the package from outside, and its
+    self-check compares each wrapper's call count with cProfile's.  A
+    FAMILIES field that is not its own function, or a ``cmd_*`` handler
+    captured at import, reads MISMATCH here."""
+    import json
+
+    bfile = tmp_path / "b008275.txt"  # s(n,k) for n = 1..4, by rows
+    values = [1, -1, 1, 2, -3, 1, -6, 11, -6, 1]
+    bfile.write_text("".join(f"{i} {v}\n" for i, v in enumerate(values, start=1)))
+    child = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "child.py"), "--selfcheck", str(bfile)],
+        env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)}, capture_output=True, text=True)
+    assert child.returncode == 0, child.stderr
+    report = json.loads(child.stderr.splitlines()[-1].lstrip("\x1e"))
+    assert report["functions_checked"] > 0
+    assert report["exit_codes"] == [0] * len(report["commands"])
+    assert report["mismatches"] == []
+
+
+@pytest.mark.parametrize("argv, loaded",[(["table", "bell", "5"], False),
                                           (["genjiko"], True), (["verify", "oracle", "3"], True)])
 def test_oracle_is_imported_only_by_its_commands(argv, loaded):
     code = ("import sys; sys.path.insert(0, %r); from bellnum.cli import main; "
