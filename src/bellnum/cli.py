@@ -498,13 +498,13 @@ def cmd_llt(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
         rep = llt_report(fam.build(n), fam, n, centering=args.centering)
         sups.append(rep.sup_deviation)
         rows.append([
-            rep.n,
+            n,
             str(rep.mean_exact),
             str(rep.var_exact),
             f"{rep.mu_asym:.6f}",
             f"{rep.sigma2_asym:.6f}",
             f"{rep.sup_deviation:.6e}",
-            rep.rate_tag,
+            fam.rate_tag,
         ])
     out = [*_render(args.format,
                     ["n", "mean_exact", "var_exact", "mu_asym", "sigma2_asym",

@@ -30,7 +30,7 @@ from .exact import (
     beta_numbers,
     matsunaga_rows,
     poisson_moments,
-    stirling_signed_row,
+    stirling_signed_rows,
 )
 from .asymptotic import EULER_GAMMA, lambert_w
 
@@ -71,23 +71,19 @@ class DiscretePMF(NamedTuple):
 
 class LLTReport(NamedTuple):
     """Standardized lattice deviation of one family member from the
-    Gaussian, together with both flavors of centering parameters."""
+    Gaussian, with the exact and the asymptotic (mean, variance); the
+    caller holds n, the family and the centering."""
 
-    n: int
-    family: str
     mean_exact: Fraction
     var_exact: Fraction
     mu_asym: float
     sigma2_asym: float
     sup_deviation: float
-    rate_tag: str
-    centering: str  # which (mu, sigma) the deviation was measured against
 
 
 # a dataclass because perfbench's tracer rebinds its fields with dataclasses.replace
 @dataclass(frozen=True)
 class LLTFamily:
-    name: str
     build: Callable[[int], DiscretePMF]
     mu_asym: Callable[[int], float]
     sigma2_asym: Callable[[int], float]
@@ -325,17 +321,7 @@ def llt_report(pmf: DiscretePMF, family: LLTFamily, n: int,
         dev = abs(sigma * p - gauss)
         if dev > sup:
             sup = dev
-    return LLTReport(
-        n=n,
-        family=family.name,
-        mean_exact=mean,
-        var_exact=var,
-        mu_asym=mu_a,
-        sigma2_asym=s2_a,
-        sup_deviation=sup,
-        rate_tag=family.rate_tag,
-        centering=centering,
-    )
+    return LLTReport(mean, var, mu_a, s2_a, sup)
 
 
 def bnk_ratio_uniformity(n: int) -> float:
@@ -344,7 +330,7 @@ def bnk_ratio_uniformity(n: int) -> float:
     if n < 4:
         raise ValueError("n must be >= 4")
     mrow = matsunaga_rows(n).row(n)
-    srow = stirling_signed_row(n)
+    srow = stirling_signed_rows(n).row(n)
     bn = beta_numbers(n)[n]
     worst = Fraction(0)
     for mv, sv in zip(mrow, srow):
@@ -373,70 +359,60 @@ _LOG2 = math.log(2.0)
 
 FAMILIES: dict[str, LLTFamily] = {
     "matsunaga": LLTFamily(
-        name="matsunaga",
         build=lambda n: row_pmf("matsunaga", n),
         mu_asym=lambda n: matsunaga_asym_moments(n)[0],
         sigma2_asym=lambda n: matsunaga_asym_moments(n)[1],
         rate_tag="(log n)^-1/2",
     ),
     "weighted-matsunaga": LLTFamily(
-        name="weighted-matsunaga",
         build=lambda n: row_pmf("weighted-matsunaga", n),
         mu_asym=lambda n: weighted_matsunaga_asym_moments(n)[0],
         sigma2_asym=lambda n: weighted_matsunaga_asym_moments(n)[1],
         rate_tag="n^-1/2",
     ),
     "arima": LLTFamily(
-        name="arima",
         build=lambda n: row_pmf("arima", n),
         mu_asym=lambda n: arima_asym_moments(n)[0],
         sigma2_asym=lambda n: arima_asym_moments(n)[1],
         rate_tag="(log n)^-1/2",
     ),
     "arima-reversed": LLTFamily(
-        name="arima-reversed",
         build=lambda n: row_pmf("arima-reversed", n),
         mu_asym=lambda n: n - arima_asym_moments(n)[0],
         sigma2_asym=lambda n: arima_asym_moments(n)[1],
         rate_tag="(log n)^-1/2",
     ),
     "a033306": LLTFamily(
-        name="a033306",
         build=lambda n: row_pmf("a033306", n),
         mu_asym=lambda n: n / 2.0,
         sigma2_asym=a033306_asym_variance,
         rate_tag="log(n)/n",
     ),
     "a056856": LLTFamily(
-        name="a056856",
         build=lambda n: row_pmf("a056856", n),
         mu_asym=lambda n: _LOG2 * n,
         sigma2_asym=lambda n: (_LOG2 - 0.5) * n,
         rate_tag="n^-1/2",
     ),
     "a220883": LLTFamily(
-        name="a220883",
         build=lambda n: row_pmf("a220883", n),
         mu_asym=lambda n: _LOG2 * n,
         sigma2_asym=lambda n: (_LOG2 - 0.5) * n,
         rate_tag="n^-1/2",
     ),
     "a260887": LLTFamily(
-        name="a260887",
         build=lambda n: row_pmf("a260887", n),
         mu_asym=lambda n: _LOG2 * n,
         sigma2_asym=lambda n: (_LOG2 - 0.5) * n,
         rate_tag="n^-1/2",
     ),
     "a220884": LLTFamily(
-        name="a220884",
         build=lambda n: row_pmf("a220884", n),
         mu_asym=lambda n: n / 2.0,
         sigma2_asym=lambda n: n / 6.0,
         rate_tag="n^-1/2",
     ),
     "a124323": LLTFamily(
-        name="a124323",
         build=lambda n: row_pmf("a124323", n),
         mu_asym=lambda n: math.log(n),
         sigma2_asym=lambda n: math.log(n),

@@ -44,7 +44,6 @@ __all__ = [
     "TriangleTable",
     "HornerTrace",
     "PartitionShape",
-    "stirling_signed_row",
     "stirling_signed_rows",
     "stirling_unsigned_rows",
     "b_table_rows",
@@ -269,14 +268,6 @@ def _reset() -> None:
     """Empty every prefix, so that the next call computes from scratch."""
     global _PREFIX
     _PREFIX = _Prefixes()
-
-
-def stirling_signed_row(n: int) -> tuple[int, ...]:
-    """Signed Stirling row n alone, read from ``_stirling_rows``, which
-    drops each earlier row once the next one is built."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return next(islice(_stirling_rows(), n - 1, None))
 
 
 def stirling_signed_rows(N: int) -> TriangleTable:

@@ -4,6 +4,7 @@ and the lattice Gaussian deviation machinery."""
 import math
 from fractions import Fraction
 from itertools import accumulate
+from statistics import NormalDist
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -373,10 +374,10 @@ class TestLLTReports:
     def test_report_fields(self):
         fam = dist.FAMILIES["arima"]
         rep = dist.llt_report(fam.build(7), fam, 7)
+        assert (rep.mean_exact, rep.var_exact) == dist.arima_exact_moments(7)
         assert rep.mean_exact == Fraction(6139, 4140)
-        assert rep.rate_tag == "(log n)^-1/2"
+        assert (rep.mu_asym, rep.sigma2_asym) == dist.arima_asym_moments(7)
         assert rep.sup_deviation >= 0
-        assert rep.centering == "exact"
 
     def test_weighted_ladder_strictly_decreases(self):
         fam = dist.FAMILIES["weighted-matsunaga"]
@@ -385,10 +386,17 @@ class TestLLTReports:
 
     def test_asym_centering_mode(self):
         fam = dist.FAMILIES["a220884"]
-        rep = dist.llt_report(fam.build(30), fam, 30, centering="asym")
-        assert rep.centering == "asym"
+        pmf = fam.build(30)
+        rep = dist.llt_report(pmf, fam, 30, centering="asym")
         assert rep.mu_asym == 15.0
         assert rep.sigma2_asym == 5.0
+        # the sup is measured against the asymptotic (mu, sigma), not the exact ones
+        sigma = math.sqrt(fam.sigma2_asym(30))
+        gauss = NormalDist(fam.mu_asym(30), sigma)
+        ref = max(sigma * abs(Fraction(w, pmf.total) - gauss.pdf(k))
+                  for k, w in zip(pmf.support(), pmf.weights))
+        assert rep.sup_deviation == pytest.approx(ref, rel=1e-12)
+        assert rep.sup_deviation != dist.llt_report(pmf, fam, 30).sup_deviation
 
     def test_unknown_centering(self):
         fam = dist.FAMILIES["arima"]

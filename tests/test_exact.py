@@ -87,13 +87,6 @@ class TestStirling:
     def test_bad_n(self):
         with pytest.raises(ValueError):
             exact.stirling_signed_rows(0)
-        with pytest.raises(ValueError):
-            exact.stirling_signed_row(0)
-
-    def test_single_row_equals_triangle_row(self):
-        tri = exact.stirling_signed_rows(60)
-        for n in (1, 2, 3, 17, 60):
-            assert exact.stirling_signed_row(n) == tri.row(n)
 
     def test_unsigned_rows_equal_abs_of_signed_rows(self):
         # each sign runs its own recurrence, so each is held to the other
