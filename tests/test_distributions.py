@@ -378,6 +378,7 @@ class TestLLTReports:
         assert rep.mean_exact == Fraction(6139, 4140)
         assert (rep.mu_asym, rep.sigma2_asym) == dist.arima_asym_moments(7)
         assert rep.sup_deviation >= 0
+        assert fam.rate_tag == "(log n)^-1/2"  # what llt prints beside the report
 
     def test_weighted_ladder_strictly_decreases(self):
         fam = dist.FAMILIES["weighted-matsunaga"]

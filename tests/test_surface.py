@@ -218,7 +218,7 @@ def test_benchmark_tracer_selfcheck_finds_no_mismatch(tmp_path):
     assert report["mismatches"] == []
 
 
-@pytest.mark.parametrize("argv, loaded",[(["table", "bell", "5"], False),
+@pytest.mark.parametrize("argv, loaded", [(["table", "bell", "5"], False),
                                           (["genjiko"], True), (["verify", "oracle", "3"], True)])
 def test_oracle_is_imported_only_by_its_commands(argv, loaded):
     code = ("import sys; sys.path.insert(0, %r); from bellnum.cli import main; "
