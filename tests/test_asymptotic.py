@@ -214,6 +214,8 @@ class TestPhi:
             asy.phi(0.0)
         with pytest.raises(ValueError):
             asy.rho_of_tau(1.0)
+        with pytest.raises(ValueError, match="rho must be > 0"):
+            asy.tau_of_rho(0.0)
 
 
 class TestBetaRatio:
@@ -228,3 +230,16 @@ class TestBetaRatio:
         d50 = abs(asy.beta_ratio_asym(50, 2) / (betas[48] / betas[50]) - 1)
         d200 = abs(asy.beta_ratio_asym(200, 2) / (betas[198] / betas[200]) - 1)
         assert d200 < d50
+
+
+# the domain guards of the approximations, each refused with its own message
+@pytest.mark.parametrize("fn, args, message", [
+    pytest.param(asy.beta_asym, (1,), "n must be >= 2", id="beta_asym(1)"),
+    pytest.param(asy.solve_mw2_saddle, (5, 0), "need 1 <= k <= n", id="solve_mw2_saddle(5, 0)"),
+    pytest.param(asy.solve_mw2_saddle, (5, 5), "k = n is degenerate", id="solve_mw2_saddle(5, 5)"),
+    pytest.param(asy.stirling_regime, (5, 6), "need 1 <= k <= n", id="stirling_regime(5, 6)"),
+    pytest.param(asy.beta_ratio_asym, (5, 5), "need n > l >= 0", id="beta_ratio_asym(5, 5)"),
+])
+def test_rejects_outside_domain(fn, args, message):
+    with pytest.raises(ValueError, match=message):
+        fn(*args)

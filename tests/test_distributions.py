@@ -1,6 +1,7 @@
 """Distribution tests: exact two-route moments, variant identities,
 and the lattice Gaussian deviation machinery."""
 
+import dataclasses
 import math
 from fractions import Fraction
 from itertools import accumulate
@@ -448,3 +449,24 @@ class TestDecayExponent:
     def test_needs_two_points(self):
         with pytest.raises(ValueError):
             dist.decay_exponent([5], [1.0])
+
+
+# an arima family whose asymptotic variance is zero, so asym centering has no sigma
+_FLAT_ASYM = dataclasses.replace(dist.FAMILIES["arima"], sigma2_asym=lambda n: 0.0)
+
+
+# the domain guards of the moment formulas and of asym centering
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: dist.arima_exact_moments(0), "n must be >= 1",
+                 id="arima_exact_moments(0)"),
+    pytest.param(lambda: dist.a033306_exact_moments(0), "n must be >= 1",
+                 id="a033306_exact_moments(0)"),
+    pytest.param(lambda: dist.weighted_matsunaga_closed_mean(3), "closed mean requires n >= 4",
+                 id="weighted_matsunaga_closed_mean(3)"),
+    pytest.param(lambda: dist.llt_report(_FLAT_ASYM.build(6), _FLAT_ASYM, 6, centering="asym"),
+                 r"^arima\[6\]: nonpositive asymptotic variance 0\.0$",
+                 id="llt_report-asym-zero-variance"),
+])
+def test_rejects_outside_domain(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

@@ -85,8 +85,9 @@ class TestStirling:
             assert s.entry(n, n) == 1
 
     def test_bad_n(self):
-        with pytest.raises(ValueError):
-            exact.stirling_signed_rows(0)
+        for rows in (exact.stirling_signed_rows, exact.stirling_unsigned_rows):
+            with pytest.raises(ValueError, match="N must be >= 1"):
+                rows(0)
 
     def test_unsigned_rows_equal_abs_of_signed_rows(self):
         # each sign runs its own recurrence, so each is held to the other
@@ -529,3 +530,14 @@ class TestPrefixes:
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                              check=True).stdout
         assert out == "[1] [(0,)] {} ([0], [0])\n"
+
+
+# the guards below n = 1 of the single-row routes
+@pytest.mark.parametrize("fn, args, message", [
+    pytest.param(exact.abs_matsunaga_row, (0,), "n must be >= 1", id="abs_matsunaga_row(0)"),
+    pytest.param(exact.pnv_eval, (0, 1), "n must be >= 1", id="pnv_eval(0, 1)"),
+    pytest.param(exact.pn_at_n, (0,), "N must be >= 1", id="pn_at_n(0)"),
+])
+def test_rejects_n_below_one(fn, args, message):
+    with pytest.raises(ValueError, match=message):
+        fn(*args)

@@ -82,11 +82,12 @@ def _matrix() -> list[list[str]]:
     fmts("asym", "beta-ratio", "4,10,30")
     fmts("asym", "phi")
     m += [["asym", "beta-ratio", "1"], ["asym", "beta-ratio", "2"], ["asym", "beta-ratio", "3"],
-          ["asym", "beta", "1"], ["asym", "stirling", "3"]]
+          ["asym", "beta", "1"], ["asym", "stirling", "3"], ["asym", "bell", ","]]
     for family in LLT_FAMILIES:
         fmts("llt", family, "8,16,32")
         m.append(["llt", family, "8,16,32", "--centering", "asym"])
     fmts("llt", "arima", "6", "--hist")
+    m.append(["llt", "arima", ","])
     fmts("bench", "20", "--repeats", "2")
     fmts("genjiko")
     for seq, name in (("bell", "bell"), ("beta", "beta-bad"), ("matsunaga", "matsunaga"),

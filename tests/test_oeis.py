@@ -98,6 +98,11 @@ class TestChecking:
         r = oeis.check_bfile("stirling", lines(STIRLING_LINEAR_HEAD, start=1))
         assert r.ok
 
+    def test_entries_below_the_first_index_are_skipped(self):
+        # A008275 starts at index 1, so an entry at 0 is not compared, whatever its value
+        r = oeis.check_bfile("A008275", "0 5\n" + lines(STIRLING_LINEAR_HEAD, start=1))
+        assert r.ok and r.compared == len(STIRLING_LINEAR_HEAD)
+
     def test_mismatch_reported_with_expected_value(self):
         text = lines(BELL_PUBLISHED) + "\n9 11111"
         r = oeis.check_bfile("bell", text)

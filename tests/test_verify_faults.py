@@ -189,6 +189,14 @@ ROWS = [
     # the walk of 5 loses its first shape
     Row("procedure equivalence", off("exact._shapes", (5,), lambda s: islice(s, 1, None)), "identities 12", [
         "FAIL: procedure equivalence (Horner = recurrence = shapes, n<=12) [first counterexample n=5]"]),
+    # the recurrence route off alone: one b-table entry of row 5, so B_5 is off by one
+    Row("procedure equivalence", off("exact.b_table_rows", (5,), bump_entry(5, 1)), "identities 12", [
+        "FAIL: procedure equivalence (Horner = recurrence = shapes, n<=12) [first counterexample n=5]"]),
+    # the Horner route off alone: its B_6 one too large
+    Row("procedure equivalence", off("exact.bell_matsunaga", (6,),
+                                     lambda tr: dataclasses.replace(tr, result=tr.result + 1)),
+        "identities 12", [
+        "FAIL: procedure equivalence (Horner = recurrence = shapes, n<=12) [first counterexample n=6]"]),
     # 7! still divides, so the prefix stores the fault, and the direct route sees it
     Row("P_n(n)", off("exact._pnv_scaled", (7, 7, 1), factorial(7)), "identities 10", [
         "FAIL: closed P_n(v) equals direct P_n(v) on rational grid [first counterexample (n,v)=(7, Fraction(7, 1))]",
