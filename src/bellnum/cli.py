@@ -393,12 +393,10 @@ def _stirling_points(ladder: list[int]) -> dict[int, dict[int, int]]:
 
     k = 2 and k = n-1 have closed forms, ``(n-1)! H_(n-1)`` and ``C(n,2)``.
     The middle points come from one banded pass over the unsigned
-    Stirling rows that holds one row at a time, cut to columns
-    ``max(1, n - ceil(N/2)) .. N//2`` for the largest n = N: every
-    middle point ``n//2`` of the ladder lies inside that band.
+    Stirling rows up to the largest n, which holds one row at a time.
     """
-    N, wanted = max(ladder), set(ladder)
-    band = exact._stirling_band(N, N - N // 2, N // 2)
+    wanted = set(ladder)
+    band = exact._stirling_band(max(ladder))
     mids = {n: row[n // 2 - lo] for n, (lo, row) in enumerate(band, start=1) if n in wanted}
     points = {}
     for n in ladder:
@@ -446,10 +444,8 @@ def cmd_asym(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
             le = math.log(exact_values[n])
             rows.append([n, f"{le:.6f}", f"{a.log_value:.6f}",
                          f"{abs(a.log_value - le) / abs(le):.3e}", a.error_order])
-        return 0, _render(args.format,
-                          ["n", "log_exact", "log_approx", "rel_log_error", "order"],
-                          rows, f"asym-{target}")
-    if target == "beta-ratio":
+        header = ["n", "log_exact", "log_approx", "rel_log_error", "order"]
+    elif target == "beta-ratio":
         top = max(ladder)
         betas = exact.beta_numbers(top)
         for n in ladder:
@@ -458,21 +454,18 @@ def cmd_asym(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
                 ap = beta_ratio_asym(n, l)
                 rows.append([n, l, f"{ex:.6e}", f"{ap:.6e}",
                              f"{abs(ap / ex - 1):.3e}", "O(n^-1 l^2 log n)"])
-        return 0, _render(args.format,
-                          ["n", "l", "exact_ratio", "approx_ratio", "rel_error", "order"],
-                          rows, "asym-beta-ratio")
-    # stirling: three regime-representative points per n
-    points = _stirling_points(ladder)
-    for n in ladder:
-        for k, value in points[n].items():
-            a = stirling_asym(n, k)
-            le = math.log(value)
-            rel = abs(math.exp(a.log_value - le) - 1)
-            rows.append([n, k, a.regime, f"{le:.6f}", f"{a.log_value:.6f}",
-                         f"{rel:.3e}", a.error_order])
-    return 0, _render(args.format,
-                      ["n", "k", "regime", "log_exact", "log_approx", "rel_value_error", "order"],
-                      rows, "asym-stirling")
+        header = ["n", "l", "exact_ratio", "approx_ratio", "rel_error", "order"]
+    else:  # stirling: three regime-representative points per n
+        points = _stirling_points(ladder)
+        for n in ladder:
+            for k, value in points[n].items():
+                a = stirling_asym(n, k)
+                le = math.log(value)
+                rel = abs(math.exp(a.log_value - le) - 1)
+                rows.append([n, k, a.regime, f"{le:.6f}", f"{a.log_value:.6f}",
+                             f"{rel:.3e}", a.error_order])
+        header = ["n", "k", "regime", "log_exact", "log_approx", "rel_value_error", "order"]
+    return 0, _render(args.format, header, rows, f"asym-{target}")
 
 
 # ------------------------------------------------------------------- llt
@@ -524,8 +517,7 @@ def _bench_ladder(N: int) -> list[int]:
     while n < N:
         ns.append(n)
         n *= 2
-    ns.append(N)
-    return sorted(set(ns))
+    return ns + [N]
 
 
 def cmd_bench(args: argparse.Namespace) -> tuple[int, Iterable[str]]:

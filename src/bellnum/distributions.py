@@ -91,9 +91,9 @@ class LLTFamily:
 
 
 def pmf_from_weights(k_min: int, weights: Sequence[int], name: str = "pmf") -> DiscretePMF:
-    ws = tuple(int(w) for w in weights)
-    if any(w < 0 for w in ws):
-        raise ValueError(f"{name}: negative weight")
+    ws = tuple(weights)
+    if not all(isinstance(w, int) and w >= 0 for w in ws):
+        raise ValueError(f"{name}: weights must be non-negative integers")
     total = sum(ws)
     if total == 0:
         raise ValueError(f"{name}: all weights zero")

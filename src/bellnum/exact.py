@@ -25,10 +25,10 @@ that the ``TriangleTable`` builders and the ``oeis`` readers all read; the
 term by term (``_poisson_terms``, ``_beta_terms``).  The Stirling source
 takes a sign: signed for the table, M and A008275, unsigned for ``|s|``.
 
-The Horner evaluation is instrumented (every partial accumulator and its
-bit length is recorded) because the intermediate values reach the scale
-of ``B_n * n!`` and cancel violently; the instrumentation makes that
-observable data rather than folklore.
+The Horner evaluation is instrumented (every partial accumulator is
+recorded, with the largest bit length seen) because the intermediate
+values reach the scale of ``B_n * n!`` and cancel violently; the
+instrumentation makes that observable data rather than folklore.
 """
 
 from __future__ import annotations
@@ -92,13 +92,10 @@ class TriangleTable:
                     f"expected {n - self.k_min + 1}"
                 )
 
-    @property
-    def n_max(self) -> int:
-        return self.n_min + len(self.rows) - 1
-
     def row(self, n: int) -> tuple[int, ...]:
-        if not self.n_min <= n <= self.n_max:
-            raise IndexError(f"{self.name}: row n={n} outside [{self.n_min}, {self.n_max}]")
+        n_max = self.n_min + len(self.rows) - 1
+        if not self.n_min <= n <= n_max:
+            raise IndexError(f"{self.name}: row n={n} outside [{self.n_min}, {n_max}]")
         return self.rows[n - self.n_min]
 
     def entry(self, n: int, k: int) -> int:
@@ -244,19 +241,20 @@ def _stirling_rows(sign: int = -1) -> Iterator[tuple[int, ...]]:
         yield row
 
 
-def _stirling_band(N: int, width: int, hi: int) -> Iterator[tuple[int, tuple[int, ...]]]:
+def _stirling_band(N: int) -> Iterator[tuple[int, tuple[int, ...]]]:
     """Unsigned Stirling rows 1..N, row n cut to its columns
-    ``lo = max(1, n - width) .. min(n, hi)``: yields ``(lo, cut row)``.
+    ``lo = max(1, n - ceil(N/2)) .. min(n, N//2)``: yields ``(lo, cut row)``.
+    The band holds ``|s[n, n//2]|`` for every n <= N.
 
     Each cut row is built from the one before.  ``_stirling_next`` takes
     the columns outside the cut as zero, so its first entry is wrong once
-    lo > 1 and its last once the row is wider than hi; the next cut drops
+    lo > 1 and its last once the row is wider than N//2; the next cut drops
     exactly those two.
     """
-    lo, row = 1, (1,)
+    lo, row, hi = 1, (1,), N // 2
     yield lo, row
     for n in range(2, N + 1):
-        new_lo = max(1, n - width)
+        new_lo = max(1, n + hi - N)  # n - ceil(N/2)
         row, lo = _stirling_next(row, n, 1)[new_lo - lo:hi - lo + 1], new_lo
         yield lo, row
 
@@ -270,6 +268,13 @@ def _reset() -> None:
     _PREFIX = _Prefixes()
 
 
+def _table(name: str, k_min: int, rows: Iterator[tuple[int, ...]], N: int) -> TriangleTable:
+    """Rows 1..N of a triangle, drawn from its row source ``rows``."""
+    if N < 1:
+        raise ValueError("N must be >= 1")
+    return TriangleTable(name, 1, k_min, tuple(islice(rows, N)))
+
+
 def stirling_signed_rows(N: int) -> TriangleTable:
     """Signed Stirling numbers of the first kind, rows 1..N.
 
@@ -277,17 +282,13 @@ def stirling_signed_rows(N: int) -> TriangleTable:
     ``s[1,1] = 1``; row n gives the coefficients of
     ``z (z-1) ... (z-n+1)``.
     """
-    if N < 1:
-        raise ValueError("N must be >= 1")
-    return TriangleTable("stirling1", 1, 1, tuple(islice(_stirling_rows(), N)))
+    return _table("stirling1", 1, _stirling_rows(), N)
 
 
 def stirling_unsigned_rows(N: int) -> TriangleTable:
     """Unsigned Stirling numbers |s[n,k]| (permutations with k cycles), from
     their own recurrence ``|s[n,k]| = |s[n-1,k-1]| + (n-1) |s[n-1,k]|``."""
-    if N < 1:
-        raise ValueError("N must be >= 1")
-    return TriangleTable("stirling1_unsigned", 1, 1, tuple(islice(_stirling_rows(1), N)))
+    return _table("stirling1_unsigned", 1, _stirling_rows(1), N)
 
 
 def _b_table_rows() -> Iterator[tuple[int, ...]]:
@@ -316,9 +317,7 @@ def _b_table_rows() -> Iterator[tuple[int, ...]]:
 def b_table_rows(N: int) -> TriangleTable:
     """The row table for rows 1..N: the paper's Arima procedure, kept
     uncached as the independent route to B."""
-    if N < 1:
-        raise ValueError("N must be >= 1")
-    return TriangleTable("b_table", 1, 1, tuple(islice(_b_table_rows(), N)))
+    return _table("b_table", 1, _b_table_rows(), N)
 
 
 def bell_numbers(N: int) -> list[int]:
@@ -367,46 +366,43 @@ def matsunaga_rows(N: int) -> TriangleTable:
     with M zero for n <= 1.  Every row of the result sums to zero and the
     diagonal entry is beta_n.
     """
-    if N < 1:
-        raise ValueError("N must be >= 1")
-    return TriangleTable("matsunaga", 1, 1, tuple(islice(_matsunaga_rows(), N)))
+    return _table("matsunaga", 1, _matsunaga_rows(), N)
 
 
-def _sum_form_row(n: int, first: int = 1, last: int | None = None) -> list[int]:
-    """Row n of the sum form, ``M[n,k]`` for k = first..last (default the
-    whole row, 1..n), without the recurrence.
+def _sum_form_row(n: int, k: int | None = None) -> list[int]:
+    """Row n of the sum form, ``M[n,k]`` for k = 1..n, or the one entry
+    ``[M[n,k]]`` when k is given, without the recurrence.
 
     ``sum_k M[n,k] x^(k-1) = sum_j c_j (x-1)...(x-j+1)`` with the integer
     ``c_j = beta_j n!/j!``, by Horner's rule: ``H = c_n``, then
     ``H = c_j + (x - j) H`` down to j = 1, each step a small multiplier.
     A coefficient of x^i after step j reaches only x^i .. x^(i+j-1), so
-    each step keeps ``max(0, first - j) .. last - 1``, cut as
+    for one entry each step keeps ``max(0, k - j) .. k - 1``, cut as
     ``_stirling_band`` cuts Stirling rows: the step takes the dropped
     coefficients as zero, which spoils only the ends the cut drops.
     """
-    last = n if last is None else last
     beta = _PREFIX.betas_upto(n)
-    cut = first > 1 or last < n  # cutting the whole row would only cost it (up to 17 %)
+    first = 1 if k is None else k
     h, lo, ratio = [beta[n]], 0, 1  # h[i] is the coefficient of x^(lo+i); ratio = n!/j!
     for j in range(n - 1, 0, -1):
         h = [a - j * b for a, b in zip([0] + h, h + [0])]
         if j >= first:
             ratio *= j + 1
             h[0] += beta[j] * ratio
-        if cut:
-            new_lo = max(0, first - j)
-            h, lo = h[new_lo - lo:last - lo], new_lo
+        if k is not None:  # cutting the whole row would only cost it (up to 17 %)
+            new_lo = max(0, k - j)
+            h, lo = h[new_lo - lo:k - lo], new_lo
     return h
 
 
 def matsunaga_via_sum(n: int, k: int) -> int:
     """``M[n,k] = n! sum_{k<=j<=n} (beta_j / j!) s[j,k]``, the unrolled
-    form of the triangle recurrence, evaluated independently of it: the
-    band k..k of ``_sum_form_row(n)``, which carries only the
-    coefficients that can still reach entry k."""
+    form of the triangle recurrence, evaluated independently of it: entry
+    k of ``_sum_form_row(n)``, carrying only the coefficients that can
+    still reach it."""
     if not 1 <= k <= n:
         raise IndexError(f"(n={n}, k={k}) outside triangle")
-    return _sum_form_row(n, k, k)[0]
+    return _sum_form_row(n, k)[0]
 
 
 def bell_matsunaga(n: int) -> HornerTrace:
@@ -608,10 +604,8 @@ def _arima_rows() -> Iterator[tuple[int, ...]]:
 
 def arima_rows(N: int) -> TriangleTable:
     """Arima triangle rows 1..N, from ``_arima_rows``."""
-    if N < 1:
-        raise ValueError("N must be >= 1")
     _PREFIX.bells_upto(N)  # one extension for every row, not one per row
-    return TriangleTable("arima", 1, 0, tuple(islice(_arima_rows(), 1, N + 1)))
+    return _table("arima", 0, islice(_arima_rows(), 1, None), N)
 
 
 def solve_bell_inverse(target: int) -> int | None:

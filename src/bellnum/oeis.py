@@ -73,32 +73,29 @@ class SequenceSpec(NamedTuple):
     oeis_id: str
     first_index: int
     terms: Callable[[], Iterator[int]]  # a fresh unbounded stream from the first index on
-    aliases: tuple[str, ...] = ()
 
 
 REGISTRY: dict[str, SequenceSpec] = {}
 
 
-def _register(spec: SequenceSpec) -> None:
-    REGISTRY[spec.oeis_id.lower()] = spec
-    for a in spec.aliases:
-        REGISTRY[a.lower()] = spec
+def _register(spec: SequenceSpec, *aliases: str) -> None:
+    for name in (spec.oeis_id, *aliases):
+        REGISTRY[name.lower()] = spec
 
 
 # The sources of exact are looked up at call time, so a reset of its
 # prefixes or a patched source reaches every new stream.  A triangle is
 # read across row boundaries, so no row past the last term drawn is built.
-_register(SequenceSpec("A000110", 0, lambda: exact._poisson_terms(1), aliases=("bell",)))
-_register(SequenceSpec("A000296", 0, lambda: exact._beta_terms(), aliases=("beta",)))
-_register(SequenceSpec("A001861", 0, lambda: exact._poisson_terms(2), aliases=("tilde-bell",)))
+_register(SequenceSpec("A000110", 0, lambda: exact._poisson_terms(1)), "bell")
+_register(SequenceSpec("A000296", 0, lambda: exact._beta_terms()), "beta")
+_register(SequenceSpec("A001861", 0, lambda: exact._poisson_terms(2)), "tilde-bell")
 # the Arima source starts at row 0, the other sources of exact at row 1
-_register(SequenceSpec("A008275", 1, lambda: chain.from_iterable(exact._stirling_rows()),
-                       aliases=("stirling",)))
-_register(SequenceSpec("A056857", 1, lambda: chain.from_iterable(exact._arima_rows()),
-                       aliases=("arima",)))
+_register(SequenceSpec("A008275", 1, lambda: chain.from_iterable(exact._stirling_rows())),
+          "stirling")
+_register(SequenceSpec("A056857", 1, lambda: chain.from_iterable(exact._arima_rows())), "arima")
 _register(SequenceSpec("A056860", 1,
-                       lambda: chain.from_iterable(r[::-1] for r in exact._arima_rows()),
-                       aliases=("arima-reversed",)))
+                       lambda: chain.from_iterable(r[::-1] for r in exact._arima_rows())),
+          "arima-reversed")
 _register(SequenceSpec("A175757", 1, lambda: chain.from_iterable(
     r[1:] for r in islice(exact._arima_rows(), 1, None))))
 _register(SequenceSpec("matsunaga", 1, lambda: chain.from_iterable(exact._matsunaga_rows())))

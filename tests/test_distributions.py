@@ -34,6 +34,10 @@ class TestPMFBasics:
             dist.pmf_from_weights(0, [0, 0])
         with pytest.raises(ValueError):
             dist.pmf_from_weights(0, [1, -1])
+        # a fraction is refused, not truncated to a wrong or an all-zero row
+        for weights in ([1.5, 1], [0.5, 0.5]):
+            with pytest.raises(ValueError, match=r"^w: weights must be non-negative integers$"):
+                dist.pmf_from_weights(0, weights, name="w")
 
     def test_probabilities_sum_to_one(self):
         pmf = dist.row_pmf("matsunaga", 9)

@@ -206,7 +206,7 @@ class TestMatsunagaTriangle:
         for n in range(1, 121):
             assert exact._sum_form_row(n) == list(m.row(n))
 
-    # a band is three sorted draws: 1 <= first <= last <= n <= 120
+    # three sorted draws 1 <= first <= last <= n <= 120; first and last are the k
     @given(st.lists(st.integers(min_value=1, max_value=120), min_size=3, max_size=3).map(sorted))
     @example([1, 1, 1])
     @example([1, 120, 120])
@@ -216,7 +216,8 @@ class TestMatsunagaTriangle:
     @settings(max_examples=80, deadline=None)
     def test_sum_form_band_is_a_slice_of_the_row(self, band):
         first, last, n = band
-        assert exact._sum_form_row(n, first, last) == exact._sum_form_row(n)[first - 1:last]
+        for k in (first, last):
+            assert exact._sum_form_row(n, k) == [exact._sum_form_row(n)[k - 1]]
 
 
 class TestHornerProcedure:
