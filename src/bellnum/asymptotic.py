@@ -171,7 +171,7 @@ def _solve_increasing(f, df, target: float, x0: float, name: str) -> SaddlePoint
     """
     # establish a bracket around the root
     lo, hi = x0, x0
-    flo, fhi = f(lo), f(hi)
+    flo = fhi = f(x0)
     grow = 0
     while flo > target:
         lo /= 2.0
@@ -186,7 +186,7 @@ def _solve_increasing(f, df, target: float, x0: float, name: str) -> SaddlePoint
         grow += 1
         if grow > 200:
             raise ArithmeticError(f"{name}: cannot bracket root from above")
-    x = min(max(x0, lo), hi)
+    x = x0
     for it in range(1, _MAX_ITER + 1):
         fx = f(x)
         if abs(fx - target) <= _TOL * abs(target):
@@ -297,6 +297,4 @@ def beta_ratio_asym(n: int, l: int) -> float:
     beta_{n-l} / beta_n (error order O(n^-1 l^2 log n))."""
     if not 0 <= l < n:
         raise ValueError("need n > l >= 0")
-    if l == 0:
-        return 1.0
     return (lambert_w(float(n)) / n) ** l

@@ -106,10 +106,9 @@ def _render(fmt: str, header: list[str], rows: list[list[object]] | exact.Triang
         yield json.dumps(doc, indent=2) + "\n"
         return
     if tri:
-        ns = [n for n, r in enumerate(rows.rows, rows.n_min) if r]
-        # the k column runs from k_min to the last row's n
-        cols = [ns, [rows.k_min, ns[-1]] if ns else [],
-                [f(r) for r in rows.rows if r for f in (min, max)]]
+        n_max = rows.n_min + len(rows.rows) - 1
+        cols = [[rows.n_min, n_max], [rows.k_min, n_max],
+                [f(r) for r in rows.rows for f in (min, max)]]
     else:
         cols = [[row[i] for row in rows] for i in range(len(header))]
     line = (",".join(["{}"] * len(header)) if fmt == "csv" else
@@ -308,7 +307,7 @@ def _variants(N: int) -> list[Check]:
     def singleton_marker(n: int) -> bool:
         t = row_pmf("a124323", n)
         return t.weights[0] == beta[n] and (
-            n < 4 or (list(row_pmf("a086659", n).weights) == list(t.weights[:-1])
+            n < 4 or (row_pmf("a086659", n).weights == t.weights[:-1]
                       and t.weights[-1] == 1))
 
     # each closed form against the moments summed over the family's support

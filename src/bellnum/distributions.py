@@ -343,8 +343,8 @@ def bnk_ratio_uniformity(n: int) -> float:
 def decay_exponent(ns: Sequence[int], values: Sequence[float]) -> float:
     """Least-squares slope of log(value) against log(n): the empirical
     decay exponent of a ladder (recorded, never asserted)."""
-    if len(ns) != len(values) or len(ns) < 2:
-        raise ValueError("need two or more ladder points")
+    if len(ns) != len(values) or len(set(ns)) < 2:
+        raise ValueError("need two or more distinct ladder points")
     xs = [math.log(n) for n in ns]
     ys = [math.log(v) for v in values]
     mx = sum(xs) / len(xs)

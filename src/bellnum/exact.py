@@ -151,10 +151,6 @@ class PartitionShape:
                 raise ValueError(f"invalid shape {self.counts!r}")
             last = size
 
-    @property
-    def n(self) -> int:
-        return sum(s * c for s, c in self.counts)
-
 
 class _Prefixes:
     """Growing prefixes of beta, the Poisson moments, the Matsunaga rows
@@ -186,8 +182,16 @@ class _Prefixes:
         return betas
 
     def poisson_upto(self, mean: int, N: int) -> list[int]:
+        """Moments m_0..m_N at ``mean`` by Aitken's array.  Each row starts
+        with ``mean`` times the last entry of the row above and adds the
+        entries above; row n holds ``sum_j C(k,j) m_{n-k+j}`` at k, so its
+        first entry is m_n and its last entry times the mean is m_{n+1}.
+        Mean 1 is the Bell triangle, whose first column is B_n."""
         m, row = self.poisson.get(mean, ([1], [1]))
-        self.poisson[mean] = m, _aitken_extend(m, row, mean, N)
+        for _ in range(len(m), N + 1):
+            row = list(accumulate(row, initial=mean * row[-1]))
+            m.append(row[0])
+        self.poisson[mean] = m, row
         return m
 
     def matsunaga_upto(self, N: int) -> list[tuple[int, ...]]:
@@ -207,21 +211,6 @@ class _Prefixes:
             values.append(p)
             normalized.append(q)
         return self.pn_at_n
-
-
-def _aitken_extend(m: list[int], row: list[int], mean: int, N: int) -> list[int]:
-    """Extend the Poisson moments m to m_0..m_N by Aitken's array and return
-    its new last row; ``row`` is the row whose first entry is m[-1].
-
-    Each row starts with ``mean`` times the last entry of the row above and
-    adds the entries above; row n holds ``sum_j C(k,j) m_{n-k+j}`` at k, so
-    its first entry is m_n and its last entry times the mean is m_{n+1}.
-    Mean 1 is the Bell triangle, whose first column is B_n.
-    """
-    for _ in range(len(m), N + 1):
-        row = list(accumulate(row, initial=mean * row[-1]))
-        m.append(row[0])
-    return row
 
 
 def _stirling_next(prev: tuple[int, ...], n: int, sign: int) -> tuple[int, ...]:
@@ -546,9 +535,9 @@ def _shapes(n: int, smallest: int = 1) -> Iterator[tuple[tuple[int, int], ...]]:
 def bell_polynomial_coefficient(shape: PartitionShape) -> int:
     """Number of set partitions of an n-set with the given block shape:
     ``n! / (prod_i (i!)^{k_i} k_i!)`` where k_i blocks have size i."""
-    n = shape.n
-    den = 1
+    n, den = 0, 1
     for size, count in shape.counts:
+        n += size * count
         den *= factorial(size) ** count * factorial(count)
     q, rem = divmod(factorial(n), den)
     if rem:
@@ -616,7 +605,6 @@ def solve_bell_inverse(target: int) -> int | None:
     """
     if target < 1:
         raise ValueError("target must be >= 1")
-    n = 0
-    while _PREFIX.bells_upto(n)[n] < target:
-        n += 1
-    return n if _PREFIX.bells_upto(n)[n] == target else None
+    for n, b in enumerate(_poisson_terms(1)):
+        if b >= target:
+            return n if b == target else None

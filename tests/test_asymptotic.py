@@ -37,6 +37,10 @@ class TestLambertW:
         with pytest.raises(ValueError):
             asy.lambert_w(-1.0)
 
+    def test_infinity_does_not_converge(self):
+        with pytest.raises(ArithmeticError, match="did not converge"):
+            asy.lambert_w(math.inf)
+
     @given(st.floats(min_value=1e-6, max_value=1e9))
     @settings(max_examples=200)
     def test_residual_contract(self, x):
@@ -182,6 +186,20 @@ class TestSaddleSolvers:
 
     def test_iteration_counts_reported(self):
         assert asy.solve_mw2_saddle(40, 20).iterations >= 1
+
+    @pytest.mark.parametrize("f, message", [
+        (lambda x: 0.0, "cannot bracket root from above"),
+        (lambda x: 2.0, "cannot bracket root from below"),
+        (lambda x: 0.0 if x < 2.0 else 2.0, "no convergence after 64 iterations"),
+    ])
+    def test_solver_fails_loudly(self, f, message):
+        with pytest.raises(ArithmeticError, match=message):
+            asy._solve_increasing(f, lambda x: 0.0, 1.0, 1.0, "probe")
+
+    def test_bracket_grows_upward(self):
+        sp = asy._solve_increasing(lambda x: x**3, lambda x: 3 * x**2, 1000.0, 1.0, "cube")
+        assert sp.root == pytest.approx(10.0, rel=1e-12)
+        assert abs(sp.residual) <= 1e-12
 
 
 class TestPhi:

@@ -453,6 +453,8 @@ class TestDecayExponent:
     def test_needs_two_points(self):
         with pytest.raises(ValueError):
             dist.decay_exponent([5], [1.0])
+        with pytest.raises(ValueError):
+            dist.decay_exponent([3, 3], [0.5, 0.25])
 
 
 # an arima family whose asymptotic variance is zero, so asym centering has no sigma

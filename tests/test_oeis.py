@@ -205,6 +205,12 @@ class TestRowMajorReaders:
         # A175757 drops the Arima source's row 0
         assert len(pulled) == (9 if offset <= 0 else 10) + (key == "a175757")
 
+    def test_arima_stream_extends_the_bell_prefix(self):
+        # from empty prefixes the stream itself must extend the Bell prefix
+        exact._reset()
+        drawn = list(islice(oeis.REGISTRY["arima"].terms(), 66))  # rows 0..10
+        assert drawn == [1] + [v for row in exact.arima_rows(10).rows for v in row]
+
     @pytest.mark.parametrize("key", ["a056856", "a220883", "a260887", "a220884"])
     @pytest.mark.parametrize("k", [2, 3, 9])
     def test_variant_reader_builds_only_the_rows_it_returns(self, monkeypatch, key, k):

@@ -40,6 +40,11 @@ class TestEnumeration:
             partitions.enumerate_partitions(partitions.ENUM_CAP + 1)
         with pytest.raises(ValueError):
             partitions.enumerate_partitions(0)
+        # a generator: its guard runs at the first next()
+        with pytest.raises(ValueError):
+            list(partitions.rgs_strings(0))
+        with pytest.raises(ValueError):
+            list(partitions.rgs_strings(partitions.ENUM_CAP + 1))
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_growth_strings_equal_a_brute_force_filter(self, n):
