@@ -71,7 +71,6 @@ TABLES: dict[str, Callable[[int], list[int] | exact.TriangleTable]] = {
     "pn-at-n": lambda N: exact.pn_at_n(N)[0],
     "b-table": lambda N: exact.b_table_rows(N),
 }
-TABLE_SEQUENCES = tuple(TABLES)
 
 ASYM_TARGETS = ("beta", "bell", "tilde-bell", "stirling", "beta-ratio", "phi")
 # the targets whose comparison needs every n of the ladder >= 4, and why
@@ -101,8 +100,9 @@ def _render(fmt: str, header: list[str], rows: list[list[object]] | exact.Triang
     columns are right-aligned to their widest cell."""
     tri = isinstance(rows, exact.TriangleTable)
     if fmt == "json":
-        doc = {"name": name, "columns": header,
-               "rows": [dict(zip(header, r)) for r in (rows.items() if tri else rows)]}
+        cells = ((n, k, v) for n, r in enumerate(rows.rows, rows.n_min)
+                 for k, v in enumerate(r, rows.k_min)) if tri else rows
+        doc = {"name": name, "columns": header, "rows": [dict(zip(header, c)) for c in cells]}
         yield json.dumps(doc, indent=2) + "\n"
         return
     if tri:
@@ -133,8 +133,8 @@ def _check_cap(args: argparse.Namespace, N: int, default: int) -> None:
 def cmd_table(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
     seq = args.sequence
     N = args.N
-    if seq not in TABLE_SEQUENCES:
-        raise UsageError(f"unknown sequence {seq!r}; choose from {', '.join(TABLE_SEQUENCES)}")
+    if seq not in TABLES:
+        raise UsageError(f"unknown sequence {seq!r}; choose from {', '.join(TABLES)}")
     _check_cap(args, N, TABLE_CAP)
     if seq == "pn-at-n" and N < 1:
         raise UsageError("pn-at-n needs N >= 1")
@@ -160,20 +160,30 @@ class Check(NamedTuple):
     note: str = ""
 
 
-def _run(check: Check) -> tuple[str, str]:
-    """(status, detail): FAIL at the first counterexample or at the first
-    point where a route raises ``ArithmeticError`` (the witness's last word
-    names the point), skip when the domain has no point, ok otherwise."""
-    empty = True
+class Outcome(NamedTuple):
+    """What one check came to: FAIL, skip or ok, the detail its verify
+    line shows, and how many points of its domain were walked."""
+
+    status: str
+    detail: str
+    points: int
+
+
+def _run(check: Check) -> Outcome:
+    """FAIL at the first counterexample or at the first point where a
+    route raises ``ArithmeticError`` (the witness's last word names the
+    point), skip when the domain has no point, ok otherwise."""
+    points = 0
     for point in check.domain:
+        points += 1
         try:
             holds = check.holds(point)
         except ArithmeticError as e:
-            return "FAIL", f"raised at {check.witness.rsplit(' ', 1)[-1]}{point}: {e}"
+            return Outcome("FAIL", f"raised at {check.witness.rsplit(' ', 1)[-1]}{point}: {e}",
+                           points)
         if not holds:
-            return "FAIL", check.witness + str(point)
-        empty = False
-    return ("skip", "") if empty else ("ok", check.note)
+            return Outcome("FAIL", check.witness + str(point), points)
+    return Outcome("ok", check.note, points) if points else Outcome("skip", "", 0)
 
 
 def _triangle(N: int) -> Iterator[tuple[int, int]]:
@@ -356,8 +366,7 @@ def cmd_verify(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
     if N < 1:
         raise UsageError("N must be >= 1")
     _check_cap(args, N, VERIFY_CAP)
-    lines = []
-    n_fail = 0
+    outcomes = []
     for name, build in SUITES.items():
         if suite not in (name, "all"):
             continue
@@ -365,11 +374,10 @@ def cmd_verify(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
         if (name, suite) == ("oracle", "all"):  # only as far as the oracle enumerates
             from . import partitions
             size = min(N, partitions.STATS_CAP)
-        for check in build(size):
-            status, detail = _run(check)
-            n_fail += status == "FAIL"
-            lines.append(f"{status}: {check.name}" + (f" [{detail}]" if detail else ""))
-    lines.append(f"{len(lines)} checks, {n_fail} failures")
+        outcomes += [(check.name, _run(check)) for check in build(size)]
+    n_fail = sum(o.status == "FAIL" for _, o in outcomes)
+    lines = [f"{o.status}: {name}" + (f" [{o.detail}]" if o.detail else "") for name, o in outcomes]
+    lines.append(f"{len(outcomes)} checks, {n_fail} failures")
     return (1 if n_fail else 0), ["\n".join(lines) + "\n"]
 
 

@@ -104,13 +104,6 @@ class TriangleTable:
             raise IndexError(f"{self.name}: entry (n={n}, k={k}) outside triangle")
         return r[k - self.k_min]
 
-    def items(self) -> Iterator[tuple[int, int, int]]:
-        """Yield (n, k, value) in row-major order."""
-        for i, r in enumerate(self.rows):
-            n = self.n_min + i
-            for j, v in enumerate(r):
-                yield n, self.k_min + j, v
-
 
 # a dataclass because perfbench's digest hashes it by dataclasses.fields
 @dataclass(frozen=True)
@@ -172,11 +165,8 @@ class _Prefixes:
         self.stirling = islice(_stirling_rows(), 1, None)  # s rows for M's rows 2, 3, ...
         self.pn_at_n = ([0], [0])  # P_n(n) and P_n(n)/n!, index 0 unused
 
-    def bells_upto(self, N: int) -> list[int]:
-        return self.poisson_upto(1, N)
-
     def betas_upto(self, N: int) -> list[int]:
-        betas, bells = self.betas, self.bells_upto(N - 1)
+        betas, bells = self.betas, self.poisson_upto(1, N - 1)
         for n in range(len(betas) - 1, N):
             betas.append(bells[n] - betas[n])
         return betas
@@ -313,7 +303,7 @@ def bell_numbers(N: int) -> list[int]:
     """Bell numbers B_0..B_N from Aitken's array (additions only)."""
     if N < 0:
         raise ValueError("N must be >= 0")
-    return _PREFIX.bells_upto(N)[: N + 1]
+    return _PREFIX.poisson_upto(1, N)[: N + 1]
 
 
 def beta_numbers(N: int) -> list[int]:
@@ -583,17 +573,17 @@ def _arima_rows() -> Iterator[tuple[int, ...]]:
     n sums to B_{n+1}.  The binomials come row by row from Pascal's rule.
     The Bell prefix is read once, and extended only when a row needs a
     Bell number that it does not hold yet."""
-    bells, binomials = _PREFIX.bells_upto(0), [1]
+    bells, binomials = _PREFIX.poisson_upto(1, 0), [1]
     for n in count():
         if n == len(bells):
-            bells = _PREFIX.bells_upto(n)
+            bells = _PREFIX.poisson_upto(1, n)
         yield tuple(map(mul, binomials, bells[n::-1]))
         binomials = [a + b for a, b in zip([0] + binomials, binomials + [0])]
 
 
 def arima_rows(N: int) -> TriangleTable:
     """Arima triangle rows 1..N, from ``_arima_rows``."""
-    _PREFIX.bells_upto(N)  # one extension for every row, not one per row
+    _PREFIX.poisson_upto(1, N)  # one extension for every row, not one per row
     return _table("arima", 0, islice(_arima_rows(), 1, None), N)
 
 

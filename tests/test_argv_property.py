@@ -13,7 +13,7 @@ import io
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from bellnum.cli import ASYM_TARGETS, TABLE_SEQUENCES, VERIFY_SUITES, main
+from bellnum.cli import ASYM_TARGETS, TABLES, VERIFY_SUITES, main
 from bellnum.distributions import FAMILIES
 
 GARBAGE = st.sampled_from(["", "x", "1.5", "-", "1e3", "0x10", "nan", " 3", "٣"])
@@ -53,7 +53,7 @@ def argv(draw):
     cmd = draw(st.sampled_from(["table", "verify", "asym", "llt", "bench", "oeis-check",
                                 "genjiko", "nothing"]))
     if cmd == "table":
-        args = [draw(name(TABLE_SEQUENCES)), draw(SIZE)]
+        args = [draw(name(tuple(TABLES))), draw(SIZE)]
     elif cmd == "verify":
         # the oracle suite enumerates every partition: keep it tiny
         args = [draw(name(VERIFY_SUITES)), draw(st.one_of(st.integers(-3, 6).map(str), GARBAGE))]
@@ -101,7 +101,7 @@ def test_exit_code_documented_and_no_traceback(bfile, out_dir, args, out_name):
 # A fixed sample of the sweep that found exit 1 from ``asym beta 2``: only
 # verify and oeis-check verify anything, so no other subcommand may exit 1.
 GRID = {
-    "table": [["table", s, str(n)] for s in TABLE_SEQUENCES for n in range(-1, 13)],
+    "table": [["table", s, str(n)] for s in TABLES for n in range(-1, 13)],
     "asym": [["asym", t, str(n)] for t in ASYM_TARGETS for n in range(-2, 13)],
     "llt": [["llt", f, str(n), *mode] for f in sorted(FAMILIES) for n in range(-1, 7)
             for mode in ([], ["--hist"], ["--centering", "asym"])],

@@ -55,7 +55,8 @@ class TestTable:
         assert lines[0] == "n,k,value"
         table = exact.arima_rows(9)
         parsed = [tuple(int(x) for x in line.split(",")) for line in lines[1:]]
-        assert parsed == list(table.items())
+        assert parsed == [(n, k, v) for n, row in enumerate(table.rows, table.n_min)
+                          for k, v in enumerate(row, table.k_min)]
 
     def test_unknown_sequence_exits_two(self, capsys):
         code, _ = run(capsys, "table", "nope", "5")
@@ -144,9 +145,12 @@ class TestStreaming:
         assert sink.marker_rendered_at_first_write is False and _Marker.rendered
 
     @pytest.mark.parametrize("fmt", ["text", "csv"])
-    @pytest.mark.parametrize("seq, N", [("matsunaga", 190), ("stirling", 220)])
+    @pytest.mark.parametrize("seq, N", [("matsunaga", 190), ("stirling", 220),
+                                        ("weighted-matsunaga", 150), ("arima", 200),
+                                        ("b-table", 220)])
     def test_render_adds_little_to_the_build(self, monkeypatch, seq, N, fmt):
-        # the largest cold commands: their peak memory is the table's plus
+        # every triangle of the cold commands at its largest size there:
+        # its peak memory is the table's plus
         # about one row of text; every cell's str held at once would add
         # megabytes (6.4 MB for matsunaga 190)
         import tracemalloc
@@ -267,10 +271,12 @@ class TestVerify:
             yield from (1, 2, 3)
             raise AssertionError("walked past the first counterexample")
 
-        assert cli._run(cli.Check("c", domain(), lambda n: n < 3)) == (
-            "FAIL", "first counterexample n=3")
-        assert cli._run(cli.Check("c", range(3), lambda n: True, note="seen")) == ("ok", "seen")
-        assert cli._run(cli.Check("c", range(0), lambda n: False, note="seen")) == ("skip", "")
+        assert cli._run(cli.Check("c", domain(), lambda n: n < 3)) == cli.Outcome(
+            "FAIL", "first counterexample n=3", 3)
+        assert cli._run(cli.Check("c", range(3), lambda n: True, note="seen")) == cli.Outcome(
+            "ok", "seen", 3)
+        assert cli._run(cli.Check("c", range(0), lambda n: False, note="seen")) == cli.Outcome(
+            "skip", "", 0)
 
     def test_runner_reports_a_raise_at_its_point(self):
         # a route that raises fails its own check, at the point it raised
@@ -283,9 +289,9 @@ class TestVerify:
             return True
 
         assert cli._run(cli.Check("c", cli._triangle(3), holds, "first counterexample (n,k)=")) == (
-            "FAIL", "raised at (n,k)=(2, 1): not exact")
+            cli.Outcome("FAIL", "raised at (n,k)=(2, 1): not exact", 2))
         assert cli._run(cli.Check("c", (7,), lambda n: 1 // 0, "got ")) == (
-            "FAIL", "raised at 7: integer division or modulo by zero")
+            cli.Outcome("FAIL", "raised at 7: integer division or modulo by zero", 1))
 
     def test_any_failure_flips_exit_code(self, capsys, monkeypatch):
         # exit status must be nonzero iff a check fails: inject a fault

@@ -262,10 +262,12 @@ class TestVariantTriangles:
                                        lambda N: exact.poisson_moments(2, N)],
                              ids=["bell", "beta", "poisson2"])
     def test_binomial_row_equals_comb_per_entry(self, terms):
-        # the running product against one math.comb per entry
+        # the running product against binomials from Pascal's rule (additions)
         t = terms(700)
+        binomials = [1]
         for n in range(701):
-            assert dist._binomial_row(n, t) == [math.comb(n, k) * t[n - k] for k in range(n + 1)]
+            assert dist._binomial_row(n, t) == [c * t[n - k] for k, c in enumerate(binomials)]
+            binomials = [a + b for a, b in zip([0] + binomials, binomials + [0])]
 
 
 # Rows n = first..first+2 of every family as (weights, total), typed from

@@ -98,7 +98,9 @@ def prefix(name: str, at: int | tuple[int, int], upto: int, fault: int | Callabl
     change, shown = _change(fault)
 
     def apply(monkeypatch: pytest.MonkeyPatch) -> None:
-        live = getattr(exact._PREFIX, f"{name}_upto")(upto)
+        # B is the Poisson prefix at mean 1
+        live = (exact._PREFIX.poisson_upto(1, upto) if name == "bells"
+                else getattr(exact._PREFIX, f"{name}_upto")(upto))
         if name == "matsunaga":
             n, k = at
             live[n - 1] = (*live[n - 1][:k - 1], change(live[n - 1][k - 1]), *live[n - 1][k:])
@@ -296,6 +298,50 @@ def test_fault(monkeypatch, row):
     assert code == 1 and len(lines) == len(clean)
     assert [line for line, before in zip(lines[:-1], clean) if line != before] == row.fails
     assert lines[-1] == f"{len(lines) - 1} checks, {len(row.fails)} failures"
+
+
+def _outcomes(monkeypatch, suite_n: str) -> list[tuple[cli.Check, list, cli.Outcome]]:
+    """Each check that ``verify suite_n`` runs, with its domain as a list
+    and the ``Outcome`` it came to."""
+    seen = []
+    run = cli._run
+
+    def record(check: cli.Check) -> cli.Outcome:
+        domain = list(check.domain)
+        seen.append((check, domain, run(check._replace(domain=domain))))
+        return seen[-1][2]
+
+    monkeypatch.setattr(cli, "_run", record)
+    _verify(suite_n)
+    return seen
+
+
+def _position(check: cli.Check, domain: list, detail: str) -> int:
+    """The index in ``domain`` of the one point that a FAIL's detail names."""
+    raised = f"raised at {check.witness.rsplit(' ', 1)[-1]}"
+    at = [i for i, point in enumerate(domain)
+          if detail == f"{check.witness}{point}" or detail.startswith(f"{raised}{point}: ")]
+    assert len(at) == 1, (check.name, detail)
+    return at[0]
+
+
+@pytest.mark.parametrize("row", ROWS, ids=lambda row: f"{row.fault.route} {row.verify}")
+def test_fail_walks_up_to_its_counterexample(monkeypatch, row):
+    row.fault.apply(monkeypatch)
+    fails = [(check, domain, o) for check, domain, o in _outcomes(monkeypatch, row.verify)
+             if o.status == "FAIL"]
+    assert len(fails) == len(row.fails)
+    assert [o.points for _, _, o in fails] == [
+        1 + _position(check, domain, o.detail) for check, domain, o in fails]
+
+
+@pytest.mark.parametrize("suite_n, skips", [
+    ("identities 12", 0), ("oracle 5", 0), ("variants 8", 0), ("all 7", 0), ("identities 1", 4)])
+def test_clean_run_walks_every_point(monkeypatch, suite_n, skips):
+    # ok walks the whole domain; skip is the empty one, with 0 points
+    seen = _outcomes(monkeypatch, suite_n)
+    assert [o.status for _, _, o in seen if o.status != "ok"] == ["skip"] * skips
+    assert [o.points for _, _, o in seen] == [len(domain) for _, domain, _ in seen]
 
 
 def test_every_check_has_a_row():
